@@ -6,7 +6,15 @@ Mersenne Twister (see rng.py), so fixed seeds reproduce byte-identically.
 Verification is a separate step that measures every concentration clause on
 the actual instance: per-cluster and per-member splits, spot degrees, the
 per-vertex degree splitting over all membership cells, and the edge-count
-clauses, each with its fractional-power slack compared exactly.  The only
+clauses, each with its fractional-power slack compared exactly.
+
+Verification is O(|E|) per layer: each layer becomes one directed edge
+array, and the (vertex, cell), (vertex, class, cell) and (class, cell,
+class', cell') tallies are sort-based counts over it (numpy.unique), so
+memory stays linear in |E| however many classes and B-sets there are.  All
+comparisons are exact integer ones.  They run in int64 only when every
+operand and product provably stays below 2^62, and in Python integers
+otherwise, so large fraction denominators cannot wrap around.  The only
 floating-point comparison is the exp(-k^0.1) n cap on exceptional-set sizes
 (a transcendental bound); everything algebraic is exact.
 """
@@ -16,9 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
-from .exactmath import frac, ge_with_pow_slack, le_frac_pow
+import numpy as np
+
+from .exactmath import floor_root, frac, ge_with_pow_slack, le_frac_pow
 from .graphcore import LayeredGraph
 from .regularity import RegularizedMatching, check_regular_pair
 from .report import Report
@@ -26,6 +37,7 @@ from .rng import make_rng
 from .shadows import shadow
 
 TWO53 = 1 << 53
+INT64_SAFE = 1 << 62  # int64 arithmetic only on values provably below this
 
 
 @dataclass
@@ -38,16 +50,6 @@ class Split:
     exceptional_members: tuple = ()                 # member sets of the matching
     exceptional_clusters: tuple = ()
     F_shadow: frozenset = frozenset()
-
-    def class_of(self, v: int) -> Optional[int]:
-        for i, A in enumerate(self.classes):
-            if v in A:
-                return i
-        return None
-
-    def restrict(self, U, i: int) -> frozenset:
-        """U|i: the part of U landing in class i."""
-        return frozenset(U) & self.classes[i]
 
     def dump(self) -> str:
         lines = []
@@ -133,77 +135,75 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
     rep.add("(3) matching-member splits within k^0.9 slack", not bad_members,
             measured=len(bad_members), note="violators -> exceptional members")
 
+    # (4): one neighbour map per spot, one slack test per (class, degree)
     vbar1 = set()
+    spot_ok = {}
     for s in spots:
-        for (U, W) in ((s.U, s.W), (s.W, s.U)):
-            for v in U:
-                dv_ok = True
-                for i in range(p):
-                    got = len({u for u in _spot_nbrs(s, v)} & split.classes[i])
-                    if not ge_with_pow_slack(got, q[i] * gamma * k, k, 9, 10):
-                        dv_ok = False
-                        break
-                if not dv_ok:
+        nbrs = {}
+        for a, b in s.F:
+            nbrs.setdefault(a, set()).add(b)
+            nbrs.setdefault(b, set()).add(a)
+        for v in s.U | s.W:
+            vn = nbrs.get(v, frozenset())
+            for i in range(p):
+                key = (i, len(vn & split.classes[i]))
+                ok = spot_ok.get(key)
+                if ok is None:
+                    ok = spot_ok[key] = ge_with_pow_slack(key[1], q[i] * gamma * k,
+                                                          k, 9, 10)
+                if not ok:
                     vbar1.add(v)
+                    break
     rep.add("(4) spot degrees into classes within k^0.9 slack", not vbar1,
             measured=len(vbar1), note="violators -> Vbar")
 
-    # membership cell of each vertex over the Bs
+    # membership cell (dense id over the Bs) and class (-1: none) per vertex
     Bs = [frozenset(B) for B in Bs]
     nb = len(Bs)
-    cellmask = {}
-    for v in range(n):
-        m = 0
-        for j, B in enumerate(Bs):
-            if v in B:
-                m |= 1 << j
-        cellmask[v] = m
-    cls = {}
+    cell, cell_bits = _cells(Bs, n)
+    ncell = len(cell_bits)
+    cls = np.full(n, -1, dtype=np.int64)
     for i, A in enumerate(split.classes):
-        for v in A:
-            cls[v] = i
+        cls[_ids(A, n)] = i
+    side = cls * ncell + cell   # (class, cell) id; negative outside the classes
 
     # (5): the check "got >= q_i degBJ - 2^-p k^0.9" is cleared of
     # denominators once per class: with q_i = num/den it becomes
     # num*degBJ - got*den <= floor(den * 2^-p * k^(9/10)), all integers
-    from .exactmath import floor_root
-
-    slack_floor = {}
-    nonzero_q = []
+    slack_floor = []
     for i in range(p):
         if q[i] == 0:
             continue
         num, den = q[i].numerator, q[i].denominator
-        slack_floor[i] = (num, den,
-                          floor_root(frac(den) ** 10 * frac(k) ** 9
-                                     / 2 ** (10 * p), 10))
-        nonzero_q.append(i)
+        slack_floor.append((i, num, den,
+                            floor_root(frac(den) ** 10 * frac(k) ** 9
+                                       / 2 ** (10 * p), 10)))
     vbar2 = set()
-    layer_list = list(layers)
-    for layer in layer_list:
-        adj = g.adj(layer)
-        for v in range(n):
-            per_cell = {}
-            per_cell_class = {}
-            for u in adj[v]:
-                cm = cellmask[u]
-                per_cell[cm] = per_cell.get(cm, 0) + 1
-                ci = cls.get(u)
-                if ci is not None:
-                    key = (ci, cm)
-                    per_cell_class[key] = per_cell_class.get(key, 0) + 1
-            ok = True
-            for cm, degBJ in per_cell.items():
-                for i in nonzero_q:
-                    num, den, fl = slack_floor[i]
-                    got = per_cell_class.get((i, cm), 0)
-                    if num * degBJ - got * den > fl:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                vbar2.add(v)
+    edge_cells = []
+    for layer in layers:
+        src, dst = _directed(g.edges(layer))
+        cls_dst = cls[dst]
+        has_cls = cls_dst >= 0
+        # degBJ per (vertex, cell) group, then got per (group, class)
+        vx, _, grp, degBJ = _count_pairs(src, cell[dst], ncell)
+        gi, ci, _, cnt = _count_pairs(grp[has_cls], cls_dst[has_cls], p)
+        per_class = np.zeros((len(vx), p), dtype=np.int64)
+        per_class[gi, ci] = cnt
+        maxdeg = int(degBJ.max()) if degBJ.size else 0
+        bad = np.zeros(len(vx), dtype=bool)
+        for i, num, den, fl in slack_floor:
+            deg_i, got_i = degBJ, per_class[:, i]
+            if max(abs(num), den) * maxdeg >= INT64_SAFE or fl >= INT64_SAFE:
+                deg_i, got_i = deg_i.astype(object), got_i.astype(object)
+            bad |= np.asarray(num * deg_i - got_i * den > fl, dtype=bool)
+        vbar2.update(vx[bad].tolist())
+        # (6) inputs: ordered pairs by cell, and by (class, cell) on both ends
+        both = has_cls & (cls[src] >= 0)
+        e_b = {(j, j2): c for (_, j, _, j2), c in
+               _edge_cells(cell[src], cell[dst], ncell, ncell, cell_bits).items()}
+        e_bd = _edge_cells(side[src][both], side[dst][both], p * ncell, ncell,
+                           cell_bits)
+        edge_cells.append((e_bd, e_b))
     rep.add("(5) per-vertex degree splitting within 2^-p k^0.9 slack", not vbar2,
             measured=len(vbar2), note="violators -> Vbar")
 
@@ -230,25 +230,21 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
                 ok_sizes = False
     rep.add("(sizes) |A_i cap B_j| >= q_i |B_j| - n^0.9", ok_sizes)
 
-    ok6 = True
+    def edge_ok(e_bd, e_b, i, i2, j, j2):
+        want = q[i] * q[i2] * e_b.get((j, j2), 0)
+        got = e_bd.get((i, j, i2, j2), 0)
+        if j == j2:
+            # same-cell variants compare against the induced count
+            # e(H[B_j]) = ordered/2; for i = i2 the left side is induced too
+            want = want / 2
+            if i == i2:
+                got = got // 2
+        return _ge_kn_slack(got, want, kn)
+
     kn = k * n
-    for layer in layer_list:
-        e_bd, e_b = _edge_cells(g, layer, cls, cellmask, p, nb)
-        for i in range(p):
-            for i2 in range(p):
-                for j in range(nb):
-                    for j2 in range(nb):
-                        want = q[i] * q[i2] * e_b.get((j, j2), 0)
-                        got = e_bd.get((i, j, i2, j2), 0)
-                        if j == j2:
-                            # same-cell variants compare against the induced
-                            # count e(H[B_j]) = ordered/2; for i = i2 the
-                            # left side is induced as well
-                            want = want / 2
-                            if i == i2:
-                                got = got // 2
-                        if not _ge_kn_slack(got, want, kn):
-                            ok6 = False
+    live = [i for i in range(p) if q[i] != 0]  # q_i = 0 wants 0: always met
+    ok6 = all(edge_ok(e_bd, e_b, i, i2, j, j2) for e_bd, e_b in edge_cells
+              for i in live for i2 in live for j in range(nb) for j2 in range(nb))
     rep.add("(6) edge counts between class/cell intersections within k^0.6 n^0.6",
             ok6)
 
@@ -265,41 +261,70 @@ def _ge_kn_slack(got, want, kn) -> bool:
     return le_frac_pow(shortfall, kn, 3, 5)
 
 
-def _spot_nbrs(s, v):
-    for a, b in s.F:
-        if a == v:
-            yield b
-        elif b == v:
-            yield a
+def _ids(S, n):
+    """The members of S that are vertices 0..n-1, as an int64 array."""
+    a = np.fromiter(S, dtype=np.int64, count=len(S))
+    return a[(a >= 0) & (a < n)]
 
 
-def _edge_cells(g, layer, cls, cellmask, p, nb):
-    """Aggregate ordered pair counts by (class, B-index) on both endpoints.
+def _cells(Bs, n):
+    """Dense membership-cell id per vertex, and each cell's sorted B-indices.
 
-    Returns (e_bd, e_b): e_bd[(i, j, i', j')] counts ordered pairs with the
-    first endpoint in A_i cap B_j and the second in A_i' cap B_j'; e_b is
-    the class-blind version.  Vertices outside all classes are skipped for
-    e_bd but counted in e_b.
+    Ids are re-densified after each B, so they stay below n for any number
+    of Bs; vertices in exactly the same Bs share a cell.
     """
-    e_bd = {}
-    e_b = {}
-    for u, v in g.edges(layer):
-        mu, mv = cellmask[u], cellmask[v]
-        cu, cv = cls.get(u), cls.get(v)
-        for (m1, c1, m2, c2) in ((mu, cu, mv, cv), (mv, cv, mu, cu)):
-            for j in _bits(m1, nb):
-                for j2 in _bits(m2, nb):
-                    e_b[(j, j2)] = e_b.get((j, j2), 0) + 1
-                    if c1 is not None and c2 is not None:
-                        key = (c1, j, c2, j2)
-                        e_bd[key] = e_bd.get(key, 0) + 1
-    return e_bd, e_b
+    member = np.zeros((n, len(Bs)), dtype=bool)
+    for j, B in enumerate(Bs):
+        member[_ids(B, n), j] = True
+    cell = np.zeros(n, dtype=np.int64)
+    for j in range(len(Bs)):
+        cell = np.unique(2 * cell + member[:, j], return_inverse=True)[1]
+    first = np.unique(cell, return_index=True)[1]
+    return cell, [np.flatnonzero(row).tolist() for row in member[first]]
 
 
-def _bits(mask, nb):
-    for j in range(nb):
-        if mask >> j & 1:
-            yield j
+def _directed(edges):
+    """Both orientations of an edge set as (source, target) int64 arrays."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges))
+    u, v = flat[0::2], flat[1::2]
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def _count_pairs(a, b, size_b):
+    """Distinct pairs (a[t], b[t]), 0 <= b[t] < size_b, with multiplicities.
+
+    Returns (pa, pb, which, count): the distinct pairs in sorted order, the
+    index of each input's pair, and how often each pair occurs.  Pairs are
+    packed into one int64 key when a * size_b provably fits, else sorted as
+    rows; either way the counts are exact.
+    """
+    if a.size == 0 or (int(a.max()) + 1) * size_b < INT64_SAFE:
+        keys, which, count = np.unique(a * size_b + b, return_inverse=True,
+                                       return_counts=True)
+        return keys // size_b, keys % size_b, which, count
+    rows, which, count = np.unique(np.stack([a, b], axis=1), axis=0,
+                                   return_inverse=True, return_counts=True)
+    return rows[:, 0], rows[:, 1], which.reshape(-1), count
+
+
+def _edge_cells(side_a, side_b, size, ncell, cell_bits):
+    """Ordered-pair counts keyed (i, j, i', j') over endpoint ids i*ncell+cell.
+
+    Each distinct (side_a, side_b) pair is expanded once over the B-indices
+    of its two cells: the result counts ordered pairs with the first
+    endpoint in A_i cap B_j and the second in A_i' cap B_j'.
+    """
+    out = {}
+    xs, ys, _, count = _count_pairs(side_a, side_b, size)
+    for x, y, c in zip(xs.tolist(), ys.tolist(), count.tolist()):
+        i, cx = divmod(x, ncell)
+        i2, cy = divmod(y, ncell)
+        for j in cell_bits[cx]:
+            for j2 in cell_bits[cy]:
+                key = (i, j, i2, j2)
+                out[key] = out.get(key, 0) + c
+    return out
 
 
 def proportional_split(bundle, p0, p1, p2, seed: int) -> tuple:

@@ -138,27 +138,31 @@ def _components_with_anchors(adj, removed):
     return out
 
 
-def _best_cut_vertex(adj, comp, candidates, removed):
-    """Candidate minimizing the largest resulting piece within comp."""
+def _best_cut_vertex(adj, comp, candidates):
+    """Candidate minimizing the largest resulting piece within comp.
+
+    comp is a connected subtree, so one pass from its lowest vertex gives
+    every subtree size: removing c leaves c's child subtrees and the rest
+    of comp above c.  Ties go to the lowest id.
+    """
+    root = min(comp)
+    parent = {root: None}
+    order = [root]
+    for v in order:  # grows while iterated: parents precede children
+        for u in adj[v]:
+            if u in comp and u not in parent:
+                parent[u] = v
+                order.append(u)
+    size = dict.fromkeys(order, 1)
+    heaviest_child = dict.fromkeys(order, 0)
+    for v in reversed(order[1:]):
+        p = parent[v]
+        size[p] += size[v]
+        heaviest_child[p] = max(heaviest_child[p], size[v])
     best = None
     best_size = None
     for c in sorted(candidates):
-        worst = 0
-        seen = {c}
-        for start in adj[c]:
-            if start not in comp or start in seen:
-                continue
-            size = 0
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                size += 1
-                for u in adj[v]:
-                    if u in comp and u not in seen and u != c:
-                        seen.add(u)
-                        stack.append(u)
-            worst = max(worst, size)
+        worst = max(heaviest_child[c], len(comp) - size[c])
         if best is None or worst < best_size:
             best, best_size = c, worst
     return best
@@ -226,7 +230,7 @@ def fine_partition(t: Tree, target_w: int, c: int = 2) -> FinePartition:
             candidates = _path_between(adj, comp, a, b)
         else:
             candidates = comp
-        W.add(_best_cut_vertex(adj, comp, candidates, W))
+        W.add(_best_cut_vertex(adj, comp, candidates))
         if not big and len(W) >= 1:
             break
 

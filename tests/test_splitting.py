@@ -1,11 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oracle_split import oracle_verify_split
 from structhunt.graphcore import LayeredGraph
 from structhunt.regularity import RegularizedMatching
-from structhunt.splitting import random_split, restrict_matching, verify_split
+from structhunt.splitting import (_count_pairs, random_split, restrict_matching,
+                                  verify_split)
 from structhunt.spots import DenseSpot
 from util import complete_bipartite, graph_from_edges, random_graph
 
@@ -106,6 +110,108 @@ class TestVerifySplit:
                            clusters=[frozenset(range(8, 16))],
                            Bs=[frozenset(range(12))], k=2)
         assert rep.ok, rep.render()
+
+
+def _both_ways(split, g, **kw):
+    """(rendered items, Vbar) from verify_split and from the loop oracle."""
+    out = []
+    for verify in (verify_split, oracle_verify_split):
+        s = dataclasses.replace(split)
+        rep = verify(s, g, **kw)
+        out.append(([it.render() for it in rep.items], s.exceptional_vertices))
+    return out
+
+
+def _random_subset(rng, pool, share):
+    return frozenset(v for v in pool if rng.random() < share)
+
+
+def _random_case(rng):
+    """A small random verify_split input; see test_matches_loop_oracle."""
+    n = rng.randrange(0, 40)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    dens = rng.choice([0.05, 0.2, 0.5])
+    G = [e for e in pairs if rng.random() < dens]
+    X = [e for e in G if rng.random() < 0.5]
+    E = [e for e in pairs if rng.random() < 0.1]
+    g = LayeredGraph(n, {"G": G, "X": X, "E": E, "Z": []})
+    layers = rng.sample(["G", "X+E", "G-X", "Z", "E"], rng.randrange(1, 4))
+
+    p = rng.choice([1, 2, 3, 10])
+    weights = [rng.choice([0, 0, 1, 2, 3]) for _ in range(p)]
+    if not any(weights):
+        weights[rng.randrange(p)] = 1
+    total = sum(weights) + rng.choice([0, 0, 1])    # sometimes a deficit
+    q = [Fraction(w, total) for w in weights]
+    target = g.vertices() if rng.random() < 0.6 else \
+        _random_subset(rng, range(n), 0.7)
+    split = random_split(g, target, q, rng.randrange(1000))
+
+    nb = rng.choice([0, 1, 3, 10])
+    Bs = [_random_subset(rng, range(n), rng.choice([0.2, 0.5, 0.9]))
+          for _ in range(nb)]
+    spots = []
+    for _ in range(rng.randrange(3)):
+        U = _random_subset(rng, range(n), 0.3)
+        W = _random_subset(rng, range(n), 0.3) - U
+        F = [(u, w) for u in U for w in W if rng.random() < 0.7]
+        spots.append(DenseSpot(U, W, F, 1, Fraction(1, 2)))
+    half = n // 4
+    matching = RegularizedMatching([(range(half), range(half, 2 * half))],
+                                   Fraction(1, 4), Fraction(1, 2), 1) \
+        if half else None
+    clusters = [frozenset(range(2 * half, n))] if n > 2 * half else []
+    k = rng.choice([1, 2, 5, 100])
+    # clause (4) can only fail once q_i gamma k > k^0.9, so gamma = 8 with
+    # the small k makes spot degrees matter
+    gamma = rng.choice([Fraction(1, 2), Fraction(1, 10), Fraction(8)])
+    return split, g, dict(layers=layers, spots=spots, matching=matching,
+                          clusters=clusters, Bs=Bs, k=k, gamma=gamma)
+
+
+class TestVerifySplitOracle:
+    def test_matches_loop_oracle(self):
+        rng = random.Random(20261018)
+        verdicts = set()
+        nonempty_vbar = 0
+        for case in range(300):
+            split, g, kw = _random_case(rng)
+            fast, slow = _both_ways(split, g, **kw)
+            assert fast == slow, "case %d" % case
+            verdicts.add(all("FAIL" not in line for line in fast[0]))
+            nonempty_vbar += bool(fast[1])
+        assert verdicts == {True, False}
+        assert nonempty_vbar >= 50
+
+    def test_huge_denominators_match_oracle(self):
+        # den * deg is far above 2^63: int64 would wrap, Python ints do not
+        d = 10 ** 19 + 51
+        q = (Fraction(d // 3, d), Fraction(d // 2, d))
+        q += (1 - sum(q),)
+        assert min(x.denominator for x in q) > 2 ** 63
+        g = random_graph(60, 0.3, 5).with_layer("X", [])
+        Bs = [frozenset(range(0, 60, 2)), frozenset(range(30))]
+        flagged = 0
+        for seed in range(4):
+            for k in (1, 5, 100):
+                split = random_split(g, g.vertices(), q, seed)
+                fast, slow = _both_ways(split, g, layers=["G", "G-X"], Bs=Bs,
+                                        k=k)
+                assert fast == slow
+                flagged += bool(fast[1])
+        assert flagged
+
+    def test_count_pairs_unpackable_keys(self):
+        # keys a * size_b would pass 2^62, so pairs are sorted as rows
+        big = 2 ** 40
+        a = np.array([big, 5, big], dtype=np.int64)
+        b = np.array([3, 1, 3], dtype=np.int64)
+        pa, pb, which, count = _count_pairs(a, b, big)
+        assert pa.tolist() == [5, big] and pb.tolist() == [1, 3]
+        assert which.tolist() == [1, 0, 1] and count.tolist() == [1, 2]
+        pa, pb, which, count = _count_pairs(a % 7, b, 4)    # packed: a = 2, 5, 2
+        assert pa.tolist() == [2, 5] and pb.tolist() == [3, 1]
+        assert which.tolist() == [0, 1, 0] and count.tolist() == [2, 1]
 
 
 class TestRestrictMatching:

@@ -1,5 +1,6 @@
 import pytest
 
+from structhunt import treecut
 from structhunt.treecut import (FinePartition, Shrub, Tree, dump_tree,
                                 fine_partition, load_tree, random_tree,
                                 validate_fine_partition)
@@ -83,6 +84,46 @@ class TestFinePartition:
             t = random_tree(30, seed)
             fp = fine_partition(t, 4)
             assert fp.t_int + fp.t_end + len(fp.W) == t.k
+
+
+def _best_cut_vertex_loop(adj, comp, candidates):
+    """Reference: flood every piece of comp - {c} for each candidate c."""
+    best = None
+    best_size = None
+    for c in sorted(candidates):
+        worst = 0
+        seen = {c}
+        for start in adj[c]:
+            if start not in comp or start in seen:
+                continue
+            size = 0
+            stack = [start]
+            seen.add(start)
+            while stack:
+                v = stack.pop()
+                size += 1
+                for u in adj[v]:
+                    if u in comp and u not in seen and u != c:
+                        seen.add(u)
+                        stack.append(u)
+            worst = max(worst, size)
+        if best is None or worst < best_size:
+            best, best_size = c, worst
+    return best
+
+
+class TestCutVertexReference:
+    def test_partitions_match_loop_reference(self, monkeypatch):
+        cases = [(k, budget, seed) for k in (2, 3, 10, 50, 200)
+                 for budget in (1, 2, 4, 16) if budget <= k
+                 for seed in range(12)]
+        fast = [fine_partition(random_tree(k, seed), budget)
+                for k, budget, seed in cases]
+        monkeypatch.setattr(treecut, "_best_cut_vertex", _best_cut_vertex_loop)
+        for fp, (k, budget, seed) in zip(fast, cases):
+            ref = fine_partition(random_tree(k, seed), budget)
+            assert (fp.W_A, fp.W_B) == (ref.W_A, ref.W_B), (k, budget, seed)
+            assert fp.shrubs == ref.shrubs and fp.knags == ref.knags
 
 
 class TestValidatorCatchesBadInputs:

@@ -295,7 +295,7 @@ def verify_configuration(w: ConfigurationWitness, b, split, cp: ConfigParams,
         _nonempty(rep, "H''", H2)
         rep.add("H'' inside H'", H2 <= frozenset(w["H1"]))
         V1 = frozenset(w["V1"])
-        exp_support = frozenset(v for e in g.edges("G_exp") for v in e)
+        exp_support = b.exp_support
         big_nabla_L2 = b.YB & frozenset(w["L2"])
         omt = cp.omega_tilde
         _mindeg_clause(rep, g, "G_nabla", "mindeg(H'', V1) >= Omega~ k",

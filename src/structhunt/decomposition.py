@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactmath import frac
-from .graphcore import LayeredGraph, norm_edge
+from .graphcore import LayeredGraph, _support, norm_edge
 from .regularity import check_regular_pair
 from .report import Report
 from .spots import DenseCover, certify_nowhere_dense, check_avoiding, is_dense_spot
@@ -94,7 +94,7 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
         seen |= C
 
     exp_edges = g.edges(bd.exp_layer)
-    exp_support = frozenset(v for e in exp_edges for v in e)
+    exp_support = _support(g, bd.exp_layer)
     if exp_edges:
         exp_graph = LayeredGraph(g.n, {"G": exp_edges})
         mind = min(len(exp_graph.adj("G")[v]) for v in exp_support)
@@ -136,13 +136,10 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
             break
         reg_cluster_pairs.add((min(locate[u], locate[v]), max(locate[u], locate[v])))
     if ok3:
-        g_edges = g.edges("G")
         for (i, j) in sorted(reg_cluster_pairs):
             Ci, Cj = bd.clusters[i], bd.clusters[j]
-            between_g = frozenset(e for e in g_edges
-                                  if (e[0] in Ci and e[1] in Cj) or (e[0] in Cj and e[1] in Ci))
-            between_reg = frozenset(e for e in reg_edges
-                                    if (e[0] in Ci and e[1] in Cj) or (e[0] in Cj and e[1] in Ci))
+            between_g = g.edges_between("G", Ci, Cj)
+            between_reg = g.edges_between(bd.reg_layer, Ci, Cj)
             if between_g != between_reg:
                 ok3, note3 = False, "G[C%d,C%d] != G_reg[C%d,C%d]" % (i, j, i, j)
                 break
@@ -169,7 +166,6 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
     spot_ok = True
     note5 = ""
     seen_edges = set()
-    union_spot_edges = set()
     for idx, s in enumerate(bd.spots):
         r = is_dense_spot(s)
         md_ok = r.ok
@@ -189,13 +185,10 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
             spot_ok, note5 = False, "spot %d uses G_exp edges" % idx
             break
         seen_edges |= s.F
-        union_spot_edges |= s.F
     if spot_ok:
-        g_edges = g.edges("G") - exp_edges
+        non_exp = LayeredGraph(g.n, {"G": g.edges("G") - exp_edges})
         for idx, s in enumerate(bd.spots):
-            induced = frozenset(e for e in g_edges
-                                if (e[0] in s.U and e[1] in s.W) or (e[0] in s.W and e[1] in s.U))
-            if not induced <= union_spot_edges:
+            if not non_exp.edges_between("G", s.U, s.W) <= seen_edges:
                 spot_ok = False
                 note5 = "spot %d: G[U,W] not covered by the family" % idx
                 break
@@ -258,13 +251,8 @@ def validate_sparse(sd: SparseDecomposition, g: LayeredGraph, p: Params,
     else:
         rep.add("1. mindeg_G(H) >= Omega** k", True, note="H empty")
 
-    K_edges = set()
-    for s in sd.bd.spots:
-        K_edges |= s.F
-    K_edges |= g.edges(sd.bd.exp_layer)
-    for u, v in g.edges("G"):
-        if u in H or v in H:
-            K_edges.add(norm_edge(u, v))
+    K_edges = (sd.bd.spots.edge_union() | g.edges(sd.bd.exp_layer)
+               | g.edges_between("G", H, g.vertices()))
     if K_edges:
         kg = LayeredGraph(g.n, {"G": K_edges})
         rest = g.vertices() - H
@@ -290,15 +278,10 @@ def captured_subgraph(sd: SparseDecomposition, g: LayeredGraph,
 
     E-incident means edges of G between E and E union the clusters.
     """
-    captured = set(g.edges(sd.bd.reg_layer)) | set(g.edges(sd.bd.exp_layer))
     E = sd.bd.E
-    cu = sd.bd.cluster_union()
-    target = E | cu
-    for u, v in g.edges("G"):
-        if u in sd.H or v in sd.H:
-            captured.add((u, v))
-        elif (u in E and v in target) or (v in E and u in target):
-            captured.add((u, v))
+    captured = (g.edges(sd.bd.reg_layer) | g.edges(sd.bd.exp_layer)
+                | g.edges_between("G", sd.H, g.vertices())
+                | g.edges_between("G", E, E | sd.bd.cluster_union()))
     return g.with_layer(layer_name, captured)
 
 

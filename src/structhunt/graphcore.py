@@ -28,6 +28,11 @@ class GraphFormatError(ValueError):
         self.lineno = lineno
 
 
+def _support(g: "LayeredGraph", layer) -> frozenset:
+    """V(layer): the vertices with at least one edge in the layer."""
+    return frozenset(v for e in g.edges(layer) for v in e)
+
+
 def norm_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError("self-loop at %d" % u)
@@ -206,6 +211,12 @@ class LayeredGraph:
             if v in Xs and u in Ys:
                 total += 1
         return total
+
+    def edges_between(self, layer, X, Y) -> frozenset:
+        """Edges xy with x in X and y in Y; X and Y may overlap."""
+        Xs, Ys = frozenset(X), frozenset(Y)
+        return frozenset(e for e in self.edges(layer)
+                         if (e[0] in Xs and e[1] in Ys) or (e[1] in Xs and e[0] in Ys))
 
     def pair_counts(self, layer, X, Y):
         """(e(X), e(X, Y)) under the ordered-pair convention."""

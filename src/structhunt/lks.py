@@ -17,7 +17,7 @@ from typing import Optional
 
 from .decomposition import Params, SparseDecomposition, captured_subgraph
 from .exactmath import frac, sqrt_val
-from .graphcore import LayeredGraph
+from .graphcore import LayeredGraph, _support
 from .regularity import RegularizedMatching, check_m_cover
 from .report import Report
 from .shadows import shadow
@@ -56,10 +56,6 @@ def classify_vertices(g: LayeredGraph, k, eta) -> LKSClassification:
     e_total = len(g.edges("G"))
     rep.check_le("3. e(G) <= k n", e_total, k * g.n)
     return LKSClassification(L, S, is_lks, rep)
-
-
-def _support(g: LayeredGraph, layer) -> frozenset:
-    return frozenset(v for e in g.edges(layer) for v in e)
 
 
 @dataclass
@@ -103,6 +99,16 @@ class CommonSettingBundle:
     @property
     def E(self) -> frozenset:
         return self.sd.bd.E
+
+    @property
+    def exp_support(self) -> frozenset:
+        """V(G_exp), read from the current graph (tests may replace g)."""
+        return _support(self.g, self.sd.bd.exp_layer)
+
+    @property
+    def cluster_size_or_k(self):
+        """The common cluster size, or k when there are no clusters."""
+        return self.sd.bd.cluster_size() if self.sd.bd.clusters else self.p.k
 
     def MAB(self) -> RegularizedMatching:
         return self.MA.union(self.MB)
@@ -150,17 +156,14 @@ def derive_common_sets(g: LayeredGraph, sd: SparseDecomposition, p: Params,
     if not g.has_layer("G_nabla"):
         g = captured_subgraph(sd, g, "G_nabla")
     if not g.has_layer("G_D"):
-        spot_edges = set()
-        for s in sd.bd.spots:
-            spot_edges |= s.F
-        g = g.with_layer("G_D", spot_edges)
+        g = g.with_layer("G_D", sd.bd.spots.edge_union())
 
     k, eta, gamma, rho = p.k, p.eta, p.gamma, p.rho
     b = CommonSettingBundle(g, sd, p, MA, MB)
     cls = classify_vertices(g, k, eta)
     b.L, b.S = cls.L, cls.S
     H, E = sd.H, sd.bd.E
-    exp_support = _support(g, sd.bd.exp_layer)
+    exp_support = b.exp_support
     vmab = MA.vertices() | MB.vertices()
 
     b.S0 = b.S - (exp_support | E)
@@ -265,12 +268,8 @@ def check_common_setting(b: CommonSettingBundle) -> Report:
                  gamma * gamma * k * n)
     uncaptured = len(g.edges("G-G_nabla"))
     rep.check_le("9. |E(G) - E(G_nabla)| <= 2 rho k n", uncaptured, 2 * rho * k * n)
-    cu = b.sd.bd.cluster_union()
-    cap_e = set(g.edges("G_reg"))
-    for u, v in g.edges("G"):
-        if (u in b.E and (v in b.E or v in cu)) or (v in b.E and (u in b.E or u in cu)):
-            cap_e.add((u, v) if u < v else (v, u))
-    dangling = len(g.edges("G_D") - frozenset(cap_e))
+    cap_e = g.edges("G_reg") | g.edges_between("G", b.E, b.E | b.sd.bd.cluster_union())
+    dangling = len(g.edges("G_D") - cap_e)
     rep.check_le("10. |E(G_D) - (E(G_reg) + E[E, E+clusters])| <= 5/4 gamma k n",
                  dangling, Fraction(5, 4) * gamma * k * n)
     return rep

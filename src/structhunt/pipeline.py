@@ -140,29 +140,21 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
     _record(out, "N_up", N_up)
     _record(out, "N_down", N_down)
     mass = g.e_ordered("G_nabla", b.H, b.XA | b.XB)
-    case_a = g.e_ordered("G_nabla", b.H, N_up) >= Fraction(mass, 8) if mass else False
+    up_mass = g.e_ordered("G_nabla", b.H, N_up)
+    case_a = up_mass >= Fraction(mass, 8) if mass else False
     tr.add("Case A: e(H, N_up) >= e(H, XA+XB)/8", case_a,
-           measured=g.e_ordered("G_nabla", b.H, N_up), needed=Fraction(mass, 8))
+           measured=up_mass, needed=Fraction(mass, 8))
 
     if case_a:
         tr.add("|H| <= |N_up|", len(b.H) <= len(N_up),
                measured=len(b.H), needed=len(N_up),
                note="failure contradicts the edge budget in regime")
         far = N_up - b.H  # H is independent in regime; enforce bipartiteness
-        hprime_edges = frozenset(e for e in g.edges("G_nabla")
-                                 if (e[0] in b.H and e[1] in far)
-                                 or (e[1] in b.H and e[0] in far))
-        helper = LayeredGraph(n, {"G": hprime_edges})
+        helper = LayeredGraph(n, {"G": g.edges_between("G_nabla", b.H, far)})
         core = min_degree_subgraph(helper, "G", b.H | far, Fraction(k, 2))
-        A = core & b.H
-        B = core & far
-        F = frozenset(e for e in hprime_edges if e[0] in core and e[1] in core)
-        w = ConfigurationWitness("D1", {"A": A, "B": B, "F": F})
-        out.witness = w
-        out.config_params = ConfigParams()
-        out.verification = verify_configuration(w, b, None, out.config_params)
-        out.status = "found" if out.verification.ok else "out-of-regime"
-        return out
+        w = ConfigurationWitness("D1", {"A": core & b.H, "B": core & far,
+                                        "F": helper.edges_between("G", core, core)})
+        return _finish(out, w, ConfigParams(), b, None)
 
     # Case B: envelope toward the club preconfiguration
     L = b.L
@@ -187,7 +179,7 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
            needed=eta_t * k * n / 8)
 
     O = shadow(g, "G_nabla", b.E, gamma * k)
-    exp_support = frozenset(v for e in g.edges("G_exp") for v in e)
+    exp_support = b.exp_support
     N1 = exp_support & target
     N2 = b.E & target
     N3 = (O & target) - (N1 | N2)
@@ -214,9 +206,8 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
     oss4 = sqrt_val(p.omega_sstar) / 4
 
     if best == 0:  # i=1 -> D2 via the exp-chain cleaning
-        layer_edges = frozenset(e for e in g.edges("G_nabla")
-                                if e in g.edges("G_exp")
-                                or e[0] in b.H or e[1] in b.H)
+        layer_edges = (g.edges("G_nabla") & g.edges("G_exp")) | \
+            g.edges_between("G_nabla", b.H, g.vertices())
         gw = b.g.with_layer("_huge_i1", layer_edges)
         delta = eta_c * p.rho**2 / (100 * p.omega_star**2)
         Xp, crep = clean_c_plus_yellow(gw, "_huge_i1", [Cs[0], N1, exp_support],
@@ -229,8 +220,7 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
         cp = ConfigParams(omega_star=club_param, omega_tilde=root4_val(p.omega_sstar) / 2,
                           beta=delta)
     elif best == 1:  # i=2 -> D3
-        layer_edges = frozenset(g.edges("G_D")) | frozenset(
-            e for e in g.edges("G") if e[0] in b.H or e[1] in b.H)
+        layer_edges = g.edges("G_D") | g.edges_between("G", b.H, g.vertices())
         gw = b.g.with_layer("_huge_i2", layer_edges)
         delta = eta_c * gamma**2 / (100 * p.omega_star**2)
         Xp, crep = clean_c_plus_yellow(gw, "_huge_i2",
@@ -259,7 +249,6 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
     else:  # i=4 -> D5 via cluster-respecting cleaning
         if not b.sd.bd.clusters:
             tr.add("i=4 requires clusters", False, note="no clusters present")
-            out.status = "out-of-regime"
             return out
         c_size = b.sd.bd.cluster_size()
         h = eta_c * c_size / (100 * p.omega_star)
@@ -273,11 +262,7 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
         cp = ConfigParams(omega_star=club_param, omega_tilde=root4_val(p.omega_sstar) / 2,
                           delta=delta, zeta=eta / 2,
                           pi_tilde=h / c_size)
-    out.witness = w
-    out.config_params = cp
-    out.verification = verify_configuration(w, b, None, cp)
-    out.status = "found" if out.verification.ok else "out-of-regime"
-    return out
+    return _finish(out, w, cp, b, None)
 
 
 def _large_nabla_set(b):
@@ -315,7 +300,7 @@ def obtain_config_exp(b: CommonSettingBundle, split: Split, YA1, YA2,
 
     YA1p = frozenset(v for v in YA1 if g.deg("G_exp", v, YA2) >= rho * k)
     _record(out, "YA1_filtered", YA1p)
-    exp1 = frozenset(v for e in g.edges("G_exp") for v in e) & split.classes[1]
+    exp1 = b.exp_support & split.classes[1]
     delta = eta**3 * rho**4 / (Fraction(10**14) * p.omega_star**3)
     Xp, crep = clean_yellow(g, ["G_exp", "G_nabla", "G_exp"],
                             [YA2, YA1p, exp1, exp1],
@@ -330,6 +315,13 @@ def obtain_config_exp(b: CommonSettingBundle, split: Split, YA1, YA2,
     w = ConfigurationWitness("D6", data)
     cp = ConfigParams(delta=delta, gamma_prime=3 * eta**3 / 2000,
                       h2=split.fractions[2] * (1 + eta / 20) * k)
+    return _finish(out, w, cp, b, split)
+
+
+def _finish(out: HuntOutcome, w: ConfigurationWitness, cp: ConfigParams,
+            b: CommonSettingBundle, split) -> HuntOutcome:
+    """Attach the witness and its clause-by-clause verification; the status
+    is "found" only when every clause passes."""
     out.witness = w
     out.config_params = cp
     out.verification = verify_configuration(w, b, split, cp)
@@ -354,21 +346,8 @@ def majority_dispatch(b: CommonSettingBundle, D_nabla: DenseCover, YA1, YA2,
     n = g.n
     rep = Report("majority dispatch (%s)" % case)
     YA1, YA2 = frozenset(YA1), frozenset(YA2)
-    spot_edges = set()
-    for s in D_nabla:
-        spot_edges |= s.F
-    gw = g.with_layer("_D_nabla", spot_edges)
-
-    exp_support = frozenset(v for e in g.edges("G_exp") for v in e)
-    sh_exp = shadow(g, "G", exp_support, rho * k)
-    Y = {}
-    for i, YA in ((1, YA1), (2, YA2)):
-        y1 = sh_exp & YA
-        y2 = (b.V_to_E & YA) - y1
-        y3 = (b.R & YA) - (y1 | y2)
-        y4 = (b.E & YA) - (y1 | y2 | y3)
-        y5 = YA - (y1 | y2 | y3 | y4)
-        Y[i] = {1: y1, 2: y2, 3: y3, 4: y4, 5: y5}
+    gw = g.with_layer("_D_nabla", D_nabla.edge_union())
+    Y = dict(zip((1, 2), _type_sets(b, (YA1, YA2))))
 
     masses = {}
     zsets = {}
@@ -413,6 +392,21 @@ def majority_dispatch(b: CommonSettingBundle, D_nabla: DenseCover, YA1, YA2,
     return best, zsets[best][0], zsets[best][1], rep
 
 
+def _type_sets(b: CommonSettingBundle, YAs) -> list:
+    """The type sets {1: Y1, ..., 5: Y5} of each YA: the G-shadow of V(G_exp),
+    then V_to_E, R and E, each minus the earlier types; Y5 is the rest."""
+    sh_exp = shadow(b.g, "G", b.exp_support, b.p.rho * b.p.k)
+    out = []
+    for YA in YAs:
+        rest, ys = frozenset(YA), {}
+        for t, S in enumerate((sh_exp, b.V_to_E, b.R, b.E), start=1):
+            ys[t] = S & rest
+            rest = rest - ys[t]
+        ys[5] = rest
+        out.append(ys)
+    return out
+
+
 def build_spot_matching(b: CommonSettingBundle, D_nabla: DenseCover, Z1, Z2,
                         cap: int = 12) -> tuple:
     """Greedy per-spot regularized matching between Z1 and Z2.
@@ -429,10 +423,6 @@ def build_spot_matching(b: CommonSettingBundle, D_nabla: DenseCover, Z1, Z2,
     ell_goal = p.alpha_hat * p.rho * k / p.omega_star
     used = set()
     pairs = []
-    spot_edges = set()
-    for s in D_nabla:
-        spot_edges |= s.F
-    gw = g.with_layer("_Dn", spot_edges)
     for s in sorted(D_nabla, key=lambda s: (-len(s.F), min(s.vertices()))):
         for (U, W) in ((s.U, s.W), (s.W, s.U)):
             A = sorted((Z1 & U) - used)
@@ -487,7 +477,6 @@ def _k1_path(b: CommonSettingBundle, split: Split, out: HuntOutcome,
         S = (b.XA - bad) & split.classes[0]
         if len(S) < 2:
             tr.add("wA cut source big enough", False, measured=len(S))
-            out.status = "out-of-regime"
             return out
         YA1, YA2 = maximal_cut(g, "G_nabla", S)
         case = "wA"
@@ -522,7 +511,6 @@ def _k1_path(b: CommonSettingBundle, split: Split, out: HuntOutcome,
     N, nrep = build_spot_matching(b, D_nabla, Z1, Z2)
     tr.extend(nrep, prefix="Isabelle contract: ")
     if not N.pairs:
-        out.status = "out-of-regime"
         return out
     flag = "cA" if case == "wA" else "cB"
     return obtain_config_matching(b, split, N, flag, ytype, "M2", D_nabla, out)
@@ -535,10 +523,7 @@ def _k2_path(b: CommonSettingBundle, split: Split, out: HuntOutcome,
     n = g.n
     tr = out.trace
     bad = b.J | split.exceptional_vertices | split.F_shadow
-    try:
-        c_size = b.sd.bd.cluster_size()
-    except ValueError:
-        c_size = k
+    c_size = b.cluster_size_or_k
     floor_size = eta * eta * c_size / (2 * Fraction(10**3))
     pairs = []
     for X, Yv in b.M_good.pairs:
@@ -552,7 +537,6 @@ def _k2_path(b: CommonSettingBundle, split: Split, out: HuntOutcome,
     tr.add("|V(N)| >= eta^2 n / 1000", len(N0.vertices()) >= eta**2 * n / 1000,
            measured=len(N0.vertices()), needed=eta**2 * n / 1000)
     if not N0.pairs:
-        out.status = "out-of-regime"
         return out
 
     D_nabla, cs_rep = clean_spots(g, list(b.sd.bd.spots), b.E,
@@ -561,23 +545,14 @@ def _k2_path(b: CommonSettingBundle, split: Split, out: HuntOutcome,
     tr.add("clean-spots properties", cs_rep.ok)
 
     # type sets with YA_i := V_i(N); Y4 is empty inside the regular part
-    exp_support = frozenset(v for e in g.edges("G_exp") for v in e)
-    sh_exp = shadow(g, "G", exp_support, rho * k)
-
-    def ycell(YA, t):
-        y1 = sh_exp & YA
-        y2 = (b.V_to_E & YA) - y1
-        y3 = (b.R & YA) - (y1 | y2)
-        y4 = (b.E & YA) - (y1 | y2 | y3)
-        y5 = YA - (y1 | y2 | y3 | y4)
-        return {1: y1, 2: y2, 3: y3, 4: y4, 5: y5}[t]
-
+    sides = [Xi for pair in N0.pairs for Xi in pair]
+    ytypes = dict(zip(sides, _type_sets(b, sides)))
     per_type = {}
     for t in (1, 2, 3, 5):
         tpairs = []
         for X, Yv in N0.pairs:
             for (Xi, other) in ((X, Yv), (Yv, X)):
-                cell = Xi & ycell(Xi, t)
+                cell = ytypes[Xi][t]
                 if 4 * len(cell) >= len(Xi) and cell:
                     msize = min(len(cell), len(other))
                     tpairs.append((frozenset(sorted(cell)[:msize]),
@@ -594,7 +569,6 @@ def _k2_path(b: CommonSettingBundle, split: Split, out: HuntOutcome,
            len(per_type[best].vertices()) >= need,
            measured=len(per_type[best].vertices()), needed=need)
     if not per_type[best].pairs:
-        out.status = "out-of-regime"
         return out
     return obtain_config_matching(b, split, per_type[best], "cA", best, "M1",
                                   D_nabla, out)
@@ -612,10 +586,7 @@ def obtain_config_matching(b: CommonSettingBundle, split: Split,
     n = g.n
     tr.add("matching case", None, measured="%s %s t%d" % (mkind, flag, ytype))
 
-    try:
-        c_size = b.sd.bd.cluster_size()
-    except ValueError:
-        c_size = k
+    c_size = b.cluster_size_or_k
     if mkind == "M1":
         eps_bar = Fraction(10**5) * p.eps_prime / eta**2
         d_bar = gamma**2 / 4
@@ -628,21 +599,16 @@ def obtain_config_matching(b: CommonSettingBundle, split: Split,
            len(M.vertices()) >= rho * n / p.omega_star,
            measured=len(M.vertices()), needed=rho * n / p.omega_star)
 
-    spot_edges = set()
-    for s in D_nabla:
-        spot_edges |= s.F
-    pair_edges = set()
-    for X, Yv in M.pairs:
-        for e in spot_edges:
-            if (e[0] in X and e[1] in Yv) or (e[1] in X and e[0] in Yv):
-                pair_edges.add(e)
+    spots = LayeredGraph(n, {"G": D_nabla.edge_union()})
+    pair_edges = frozenset().union(*(spots.edges_between("G", X, Yv)
+                                     for X, Yv in M.pairs))
     gw = g.with_layer("_E1", pair_edges)
     Ybar = split.exceptional_vertices | split.F_shadow
     heart = 2 if flag == "cA" else 1
     parts = [(Yv, X) for X, Yv in M.pairs]  # partitions of (X_0, X_1) = (V_2, V_1)
 
     if ytype == 1:
-        exp1 = frozenset(v for e in g.edges("G_exp") for v in e) & split.classes[1]
+        exp1 = b.exp_support & split.classes[1]
         delta = eta**3 * rho**4 / (Fraction(10**12) * p.omega_star**4)
         qpairs, Xp, crep = clean_match(
             gw, ["_E1", "G_nabla", "G_exp"],
@@ -683,7 +649,7 @@ def obtain_config_matching(b: CommonSettingBundle, split: Split,
         Ym = Ybar | shadow(g, "G_D", _leftover(b, split, Mbar),
                            eta * eta * k / 1000)
         X2 = ((b.L & b.V_to_E) & split.classes[0]) - \
-            (frozenset(v for e in g.edges("G_exp") for v in e) | b.E |
+            (b.exp_support | b.E |
              b.MAB().vertices() | b.V_not_to_H | b.L_sharp | b.J_E | b.J1)
         delta = eta**4 * gamma**4 * rho / (Fraction(10**15) * p.omega_star**5)
         qpairs, Xp, crep = clean_match(
@@ -737,23 +703,14 @@ def obtain_config_matching(b: CommonSettingBundle, split: Split,
         return _t5_case(b, split, M, mkind, D_nabla, out)
     else:
         tr.add("no subcase for (%s, t%d)" % (flag, ytype), False)
-        out.status = "out-of-regime"
         return out
-
-    out.witness = w
-    out.config_params = cp
-    out.verification = verify_configuration(w, b, split, cp)
-    out.status = "found" if out.verification.ok else "out-of-regime"
-    return out
+    return _finish(out, w, cp, b, split)
 
 
 def _restricted_mab(b, split):
     from .splitting import restrict_matching
 
-    try:
-        c_size = b.sd.bd.cluster_size()
-    except ValueError:
-        c_size = None
+    c_size = b.sd.bd.cluster_size() if b.sd.bd.clusters else None
     return restrict_matching(b.MAB(), split, 1, b.g, b.p, c_size,
                              recertify=False)
 
@@ -773,29 +730,19 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
     stripped = {}
     for i, C in enumerate(b.sd.bd.clusters):
         stripped[i] = C - (b.L_sharp | vmab | b.V_not_to_H | b.J1)
-    try:
-        c_size = b.sd.bd.cluster_size()
-    except ValueError:
-        c_size = k
+    c_size = b.cluster_size_or_k
     small_thr = sqrt_val(p.eps_prime) * c_size
     C_minus = {i for i, C in stripped.items() if small_thr > len(C)}
-    _record(out, "C_minus_union",
-            frozenset().union(*[stripped[i] for i in C_minus]) if C_minus
-            else frozenset())
+    cm_union = frozenset().union(*(stripped[i] for i in C_minus))
+    _record(out, "C_minus_union", cm_union)
     ensemble = [X for X in b.MAB().members()]
     ensemble += [stripped[i] for i in sorted(stripped) if i not in C_minus
                  and stripped[i]]
-    universe = frozenset().union(*ensemble) if ensemble else frozenset()
+    universe = frozenset().union(*ensemble)
 
-    reg_edges = frozenset(e for e in g.edges(b.sd.bd.reg_layer)
-                          if e[0] in universe and e[1] in universe)
-    extra = set()
-    nabla_minus_exp = g.edges("G_nabla") - g.edges("G_exp")
-    for X, Yv in b.MAB().pairs:
-        for e in nabla_minus_exp:
-            if (e[0] in X and e[1] in Yv) or (e[1] in X and e[0] in Yv):
-                extra.add(e)
-    G_circ = reg_edges | frozenset(extra)
+    nabla_minus_exp = LayeredGraph(g.n, {"G": g.edges("G_nabla-G_exp")})
+    G_circ = g.edges_between(b.sd.bd.reg_layer, universe, universe).union(
+        *(nabla_minus_exp.edges_between("G", X, Yv) for X, Yv in b.MAB().pairs))
     gw = g.with_layer("_G_circ", G_circ)
 
     L_circ = []
@@ -805,11 +752,9 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
             continue
         if X and min(gw.deg("_G_circ", v) for v in X) >= (1 + eta / 2) * k:
             L_circ.append(X)
-    _record(out, "L_circ_union",
-            frozenset().union(*L_circ) if L_circ else frozenset())
+    lc_union = frozenset().union(*L_circ)
+    _record(out, "L_circ_union", lc_union)
 
-    cm_union = frozenset().union(*[stripped[i] for i in C_minus]) \
-        if C_minus else frozenset()
     S = shadow(g, b.sd.bd.reg_layer, cm_union, eta * k / 200)
     M_S = [(X, Yv) for X, Yv in M.pairs
            if 4 * len((X | Yv) & S) >= len(X | Yv)]
@@ -817,11 +762,9 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
     tr.add("M - M_S non-empty", bool(good_pairs),
            measured=len(good_pairs), needed=1)
     if not good_pairs:
-        out.status = "out-of-regime"
         return out
 
-    target = b.MAB().vertices() | (frozenset().union(*L_circ) if L_circ
-                                   else frozenset())
+    target = b.MAB().vertices() | lc_union
     thr = (1 + eta / 40) * k + eta * k / 200
 
     def fail_set(X):
@@ -841,8 +784,7 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
     A, B, P_A, P_B = chosen
 
     if mkind == "M1":
-        X_A = next((X for X, Yv in b.M_good.pairs if A <= X), None)
-        X_B = None
+        X_A = X_B = None
         for X, Yv in b.M_good.pairs:
             if A <= X and B <= Yv:
                 X_A, X_B = X, Yv
@@ -853,32 +795,26 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
         if X_A is None or X_B is None:
             X_A, X_B = A, B  # fall back to the pair itself
     else:
-        spot_edges = set()
-        for s in D_nabla:
-            spot_edges |= s.F
         neg_thr = gamma**3 * c_size / (16 * p.omega_star * k)
-        R_A = frozenset().union(*[C for C in b.sd.bd.clusters
-                                  if len(C & (A - P_A)) <= neg_thr * len(A)]) \
-            if b.sd.bd.clusters else frozenset()
-        R_B = frozenset().union(*[C for C in b.sd.bd.clusters
-                                  if len(C & (B - P_B)) <= neg_thr * len(B)]) \
-            if b.sd.bd.clusters else frozenset()
+
+        def sparse_clusters(X, P_X):
+            return frozenset().union(*(C for C in b.sd.bd.clusters
+                                       if len(C & (X - P_X)) <= neg_thr * len(X)))
+
+        R_A, R_B = sparse_clusters(A, P_A), sparse_clusters(B, P_B)
         _record(out, "R_A", R_A)
         _record(out, "R_B", R_B)
-        edge = next((e for e in sorted(spot_edges)
-                     if (e[0] in A - (P_A | R_A) and e[1] in B - (P_B | R_B))
-                     or (e[1] in A - (P_A | R_A) and e[0] in B - (P_B | R_B))),
-                    None)
+        spots = LayeredGraph(g.n, {"G": D_nabla.edge_union()})
+        edge = min(spots.edges_between("G", A - (P_A | R_A), B - (P_B | R_B)),
+                   default=None)
         tr.add("spot edge between the trimmed pair", edge is not None)
         if edge is None:
-            out.status = "out-of-regime"
             return out
         a = edge[0] if edge[0] in A else edge[1]
         bb = edge[1] if edge[0] in A else edge[0]
         C_A = next((C for C in b.sd.bd.clusters if a in C), None)
         C_B = next((C for C in b.sd.bd.clusters if bb in C), None)
         if C_A is None or C_B is None:
-            out.status = "out-of-regime"
             return out
         idx_A = b.sd.bd.clusters.index(C_A)
         idx_B = b.sd.bd.clusters.index(C_B)
@@ -890,7 +826,6 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
             members_in = [X for X in ensemble if X <= C_B]
             X_B = min(members_in, key=lambda X: min(X)) if members_in else None
         if not X_A or not X_B:
-            out.status = "out-of-regime"
             return out
 
     w = ConfigurationWitness("D10", {
@@ -900,8 +835,4 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
                       ell1=p.pi * sqrt_val(p.eps_prime) * p.nu * k,
                       ell2=p.omega_star**2 * k / gamma**2,
                       eta_prime=eta / 40)
-    out.witness = w
-    out.config_params = cp
-    out.verification = verify_configuration(w, b, split, cp)
-    out.status = "found" if out.verification.ok else "out-of-regime"
-    return out
+    return _finish(out, w, cp, b, split)

@@ -349,21 +349,16 @@ def proportional_split(bundle, p0, p1, p2, seed: int) -> tuple:
     q = (p0, p1, p2) + (Fraction(0),) * 7
     split = random_split(g, target, q, seed)
 
-    exp_support = frozenset(v for e in g.edges(bundle.sd.bd.exp_layer) for v in e)
     Bs = [bundle.V_good, bundle.XA - (H | bundle.J), bundle.XB - bundle.J,
-          exp_support, bundle.E, bundle.V_to_E, bundle.J_E, bundle.L,
+          bundle.exp_support, bundle.E, bundle.V_to_E, bundle.J_E, bundle.L,
           bundle.L_sharp, bundle.V_not_to_H]
 
-    h_incident = frozenset(e for e in g.edges("G_nabla")
-                           if e[0] in H or e[1] in H)
+    h_incident = g.edges_between("G_nabla", H, g.vertices())
     gstar_edges = (g.edges("G_nabla") - h_incident) | g.edges("G_D")
     gw = g.with_layer("G_star", gstar_edges)
-    cu = bundle.sd.bd.cluster_union()
-    bd_captured = set(gw.edges(bundle.sd.bd.reg_layer)) | set(gw.edges(bundle.sd.bd.exp_layer))
-    for u, v in gw.edges("G_D"):
-        if (u in bundle.E and (v in bundle.E or v in cu)) or \
-           (v in bundle.E and (u in bundle.E or u in cu)):
-            bd_captured.add((u, v))
+    E = bundle.E
+    bd_captured = (gw.edges(bundle.sd.bd.reg_layer) | gw.edges(bundle.sd.bd.exp_layer)
+                   | gw.edges_between("G_D", E, E | bundle.sd.bd.cluster_union()))
     gw = gw.with_layer("G_nabla_bd", bd_captured)
     layers = ["G_star", "G_nabla_bd", bundle.sd.bd.exp_layer, "G_D",
               "G_nabla_bd+G_D"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import frac, sqrt_val
-from .graphcore import LayeredGraph, norm_edge
+from .graphcore import LayeredGraph, _support, norm_edge
 from .report import Report
 from .rng import split_rng
 from .shadows import maximal_cut, min_degree_subgraph, peel_bipartite
@@ -128,8 +128,7 @@ def extract_dense_spot(g_or_n, layer_or_edges, m, gamma):
     if not edges:
         return None
     work = _edge_graph(n, edges)
-    core = min_degree_subgraph(work, "G", frozenset(v for e in edges for v in e),
-                               _strictly_above(m))
+    core = min_degree_subgraph(work, "G", _support(work, "G"), _strictly_above(m))
     if not core:
         return None
     A, B = maximal_cut(work, "G", core)
@@ -138,8 +137,7 @@ def extract_dense_spot(g_or_n, layer_or_edges, m, gamma):
     A, B = peel_bipartite(work, "G", A, B, _strictly_above(m))
     if not A or not B:
         return None
-    F = frozenset(e for e in edges
-                  if (e[0] in A and e[1] in B) or (e[0] in B and e[1] in A))
+    F = work.edges_between("G", A, B)
     if not F:
         return None
     # a connected component of a qualifying candidate has at least its
@@ -213,8 +211,7 @@ def _exact_spot_search(g: LayeredGraph, layer, m, gamma):
     edges = g.edges(layer)
     if not edges:
         return None
-    core = min_degree_subgraph(g, layer, frozenset(v for e in edges for v in e),
-                               _strictly_above(m))
+    core = min_degree_subgraph(g, layer, _support(g, layer), _strictly_above(m))
     if not core:
         return None
     adj = g.adj(layer)
@@ -420,13 +417,7 @@ def clean_spots(g: LayeredGraph, spots, E, clusters, gamma, k, rho,
     """
     gamma, k, rho = frac(gamma), frac(k), frac(rho)
     E = frozenset(E)
-    cluster_union = frozenset().union(*clusters) if clusters else frozenset()
-    captured = set(g.edges(reg_layer))
-    for u, v in g.edges("G"):
-        if (u in E and (v in E or v in cluster_union)) or \
-           (v in E and (u in E or u in cluster_union)):
-            captured.add(norm_edge(u, v))
-    captured = frozenset(captured)
+    captured = g.edges(reg_layer) | g.edges_between("G", E, E.union(*clusters))
 
     rep = Report("clean-spots")
     out_spots = []

@@ -180,3 +180,24 @@ class TestInvariants:
             X = frozenset(v for v in range(g.n) if rng.random() < 0.4)
             e_ind, e_ord = g.pair_counts("G", X, X)
             assert e_ord == 2 * e_ind
+
+    @given(small_graphs(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_edges_between(self, g, seed):
+        rng = random.Random(seed)
+        X = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+        Y = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+        # disjoint sides: one edge per ordered pair
+        assert len(g.edges_between("G", X, Y - X)) == g.e_ordered("G", X, Y - X)
+        # overlapping sides: edges inside X & Y are ordered pairs both ways
+        between = g.edges_between("G", X, Y)
+        assert g.e_ordered("G", X, Y) == len(between) + g.e_induced("G", X & Y)
+        assert between == g.edges_between("G", Y, X)
+        assert all((u in X and v in Y) or (v in X and u in Y) for u, v in between)
+        # a layer expression
+        g2 = g.with_layer("G_exp", [e for e in sorted(g.edges("G"))
+                                    if rng.random() < 0.5])
+        assert g2.edges_between("G-G_exp", X, Y) == between - g2.edges("G_exp")
+        # an empty side
+        assert g.edges_between("G", frozenset(), Y) == frozenset()
+        assert g.edges_between("G", X, frozenset()) == frozenset()

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import pipeline_instances
 from oracle_lks import oracle_bundle_sets
 from structhunt.decomposition import (BoundedDecomposition, Params,
                                       SparseDecomposition, captured_subgraph)
@@ -267,3 +268,31 @@ class TestDerivedBoundsWithSplit:
         assert any("V_good|1" in nm for nm in names)
         assert any("V_good|2" in nm for nm in names)
         assert any("cover" in nm for nm in names)
+
+
+PIPELINE_BUILDERS = sorted(name for name in dir(pipeline_instances)
+                           if name.endswith("_instance") and name != "random_instance")
+
+
+class TestBundleProperties:
+    @pytest.mark.parametrize("name", PIPELINE_BUILDERS)
+    def test_exp_support_is_the_edge_support(self, name):
+        b, _ = getattr(pipeline_instances, name)()
+        assert b.exp_support == frozenset(v for e in b.g.edges("G_exp") for v in e)
+
+    def test_exp_support_follows_a_replaced_graph(self):
+        from pipeline_instances import exp_instance
+
+        b, _ = exp_instance()
+        assert 20 not in b.exp_support
+        b.g = b.g.with_layer("G_exp", sorted(b.g.edges("G_exp") | {(20, 21)}))
+        assert {20, 21} <= b.exp_support
+
+    def test_cluster_size_or_k(self):
+        from pipeline_instances import d1_instance, t5_instance
+
+        b, _ = d1_instance()
+        assert not b.sd.bd.clusters
+        assert b.cluster_size_or_k == b.p.k
+        b, _ = t5_instance()
+        assert b.cluster_size_or_k == b.sd.bd.cluster_size() != b.p.k

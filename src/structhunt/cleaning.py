@@ -29,19 +29,11 @@ class CleaningReport:
     trace: list           # ordered (vertex-or-pair, set-name, condition)
     iterations: int = 0
 
-    @property
-    def hypotheses_ok(self) -> bool:
-        return self.hypotheses.ok
-
     def render(self) -> str:
         out = [self.hypotheses.render(), self.conclusions.render(),
                "iterations: %d" % self.iterations,
                "removals: %d" % len(self.trace)]
         return "\n".join(out)
-
-
-def _mindeg_ok(g, layer, v, target, bound) -> bool:
-    return cmp_ge(g.deg(layer, v, target), bound)
 
 
 def envelope(g: LayeredGraph, layer, P, Q, Y, psi, Gamma, Omega, k) -> tuple:
@@ -142,7 +134,7 @@ def clean_c_plus_yellow(g: LayeredGraph, layer, Xs, Y, r, omega_star,
     hyp.add("4. chain mindeg(X_i, X_i+1) >= gamma k",
             all(g.deg(layer, v, Xs[i + 1]) >= gamma * k
                 for i in range(1, r) for v in Xs[i]))
-    big = Y.union(*Xs[1:]) if r >= 1 else Y
+    big = Y.union(*Xs[1:])
     hyp.check_le("5. maxdeg(Y + X_1..X_r) <= Omega* k",
                  g.maxdeg(layer, big), omega_star * k)
 

@@ -16,7 +16,7 @@ from .cleaning import (clean_c_plus_black, clean_c_plus_yellow, clean_match,
                        clean_yellow, envelope)
 from .configurations import (ConfigParams, verify_configuration,
                              verify_preconfiguration, PRECONFIG_TAGS)
-from .exactmath import RootVal
+from .exactmath import MissingParameter, RootVal
 from .fileio import (dump_split, dump_spot_line, load_instance_dir,
                      parse_witness)
 from .graphcore import LayeredGraph, fmt_vertex_set, load_graph, parse_vertex_set
@@ -181,12 +181,10 @@ def cmd_verify_witness(args) -> int:
             rep = verify_preconfiguration(w, b, split, cp)
         else:
             rep = verify_configuration(w, b, split, cp)
-    except TypeError as exc:
-        if "exact rational" in str(exc):
-            print("witness file lacks required numeric parameters "
-                  "(add 'param <name> = <value>' lines)")
-            return 3
-        raise
+    except MissingParameter:
+        print("witness file lacks required numeric parameters "
+              "(add 'param <name> = <value>' lines)")
+        return 3
     print(rep.render())
     return 0 if rep.ok else 3
 

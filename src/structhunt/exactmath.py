@@ -15,8 +15,14 @@ from typing import Union
 Rat = Union[int, Fraction]
 
 
+class MissingParameter(TypeError):
+    """A required numeric parameter is absent (None where a rational is due)."""
+
+
 def frac(x) -> Fraction:
     """Coerce ints, Fractions and exact strings like '3/4' to Fraction."""
+    if x is None:
+        raise MissingParameter("missing numeric parameter (got None)")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):

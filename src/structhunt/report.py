@@ -30,13 +30,6 @@ class CheckItem:
     needed: Any = None
     note: str = ""
 
-    @property
-    def margin(self):
-        try:
-            return self.measured - self.needed
-        except TypeError:
-            return None
-
     def render(self) -> str:
         verdict = {True: "pass", False: "FAIL", None: "info"}[self.passed]
         parts = ["%s: %s" % (self.item, verdict)]

@@ -21,8 +21,3 @@ def split_rng(seed: int, label: str) -> random.Random:
     """Independent substream for (seed, label), reproducibly."""
     digest = hashlib.sha256(("%d/%s" % (seed, label)).encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def sub_seed(seed: int, label: str) -> int:
-    digest = hashlib.sha256(("%d/%s" % (seed, label)).encode()).digest()
-    return int.from_bytes(digest[:8], "big")

@@ -93,17 +93,21 @@ class TestCleanCmd:
         assert "X0' = 0,1,2" in out
 
 
-def make_instance_dir(tmp_path):
-    from pipeline_instances import exp_instance
-
-    b, split = exp_instance()
+def write_instance_dir(tmp_path, b, split):
     d = tmp_path / "inst"
     d.mkdir()
     (d / "graph.txt").write_text(dump_graph(b.g))
     (d / "params.txt").write_text(dump_params(b.p))
     (d / "decomposition.txt").write_text(dump_decomposition(b.sd))
     (d / "split.txt").write_text(dump_split(split))
-    return d, b, split
+    return d
+
+
+def make_instance_dir(tmp_path):
+    from pipeline_instances import exp_instance
+
+    b, split = exp_instance()
+    return write_instance_dir(tmp_path, b, split), b, split
 
 
 class TestHuntCmd:
@@ -137,6 +141,47 @@ class TestVerifyWitnessCmd:
         w = parse_witness(wtext)
         assert w.tag == "D6"
         assert parse_witness(dump_witness(w)).data.keys() == w.data.keys()
+
+    def test_witness_without_params_exits_three(self, tmp_path, capsys):
+        d, b, split = make_instance_dir(tmp_path)
+        assert main(["hunt-config", str(d), "--seed", "3"]) == 0
+        full = d / "run" / "witness.txt"
+        assert main(["verify-witness", str(d), str(full)]) == 0
+        lines = full.read_text().splitlines(keepends=True)
+        assert lines[0] == "config D6\n"
+        assert any(ln.startswith("param ") for ln in lines)
+        stripped = d / "stripped.txt"
+        stripped.write_text("".join(ln for ln in lines
+                                    if not ln.startswith("param ")))
+        capsys.readouterr()
+        assert main(["verify-witness", str(d), str(stripped)]) == 3
+        assert "lacks required numeric parameters" in capsys.readouterr().out
+
+    def test_unrelated_type_error_is_not_reported_as_missing_params(
+            self, tmp_path, monkeypatch):
+        import structhunt.cli as cli
+
+        d, b, split = make_instance_dir(tmp_path)
+        main(["hunt-config", str(d), "--seed", "3"])
+
+        def fail(*args):
+            raise TypeError("not an exact rational: 0.5")
+
+        monkeypatch.setattr(cli, "verify_configuration", fail)
+        with pytest.raises(TypeError):
+            main(["verify-witness", str(d), str(d / "run" / "witness.txt")])
+
+    def test_d1_witness_needs_no_params(self, tmp_path, capsys):
+        from pipeline_instances import d1_instance
+
+        d = write_instance_dir(tmp_path, *d1_instance())
+        assert main(["hunt-config", str(d)]) == 0
+        witness = d / "run" / "witness.txt"
+        text = witness.read_text()
+        assert text.startswith("config D1\n") and "param " not in text
+        capsys.readouterr()
+        assert main(["verify-witness", str(d), str(witness)]) == 0
+        assert "lacks required" not in capsys.readouterr().out
 
 
 class TestFileFormats:

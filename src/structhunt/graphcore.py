@@ -28,7 +28,7 @@ class GraphFormatError(ValueError):
         self.lineno = lineno
 
 
-def _support(g: "LayeredGraph", layer) -> frozenset:
+def _support(g: LayeredGraph, layer) -> frozenset:
     """V(layer): the vertices with at least one edge in the layer."""
     return frozenset(v for e in g.edges(layer) for v in e)
 

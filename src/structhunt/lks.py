@@ -102,7 +102,7 @@ class CommonSettingBundle:
 
     @property
     def exp_support(self) -> frozenset:
-        """V(G_exp), read from the current graph (tests may replace g)."""
+        """V(G_exp); recomputed on each access, so it follows a replaced g."""
         return _support(self.g, self.sd.bd.exp_layer)
 
     @property

@@ -267,8 +267,7 @@ def verify_configuration(w: ConfigurationWitness, b, split, cp: ConfigParams,
                          mode="exact", cap: int = 12) -> Report:
     """Full clause-by-clause report for a configuration witness."""
     g, p = b.g, b.p
-    k, eta = p.k, p.eta
-    n = g.n
+    k = p.k
     rep = Report("configuration %s" % w.tag)
     V = g.vertices()
 

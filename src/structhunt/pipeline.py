@@ -463,7 +463,7 @@ def build_spot_matching(b: CommonSettingBundle, D_nabla: DenseCover, Z1, Z2,
 def _k1_path(b: CommonSettingBundle, split: Split, out: HuntOutcome,
              overrides: dict) -> HuntOutcome:
     g, p = b.g, b.p
-    k, eta, rho, gamma = p.k, p.eta, p.rho, p.gamma
+    k, rho, gamma = p.k, p.rho, p.gamma
     n = g.n
     tr = out.trace
 

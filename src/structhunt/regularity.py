@@ -9,6 +9,16 @@ irregularity witness is always exact regardless of mode.
 
 All density comparisons are integer arithmetic: the test
 |e'/(a m) - e/(AB)| >= p/q is cleared of denominators before comparing.
+
+The exact check is one numpy kernel.  It scans U'-masks in increasing
+integer order, 2**10 at a time (fewer when |U| < 10), and for each U'
+compares the sums of the m largest and the m smallest degrees into U'
+against per-(a, m) integer bounds; the first violating U' is then fixed and
+W'-masks are scanned the same way for the first violating W'.  So the
+witness is the lex-first violating pair, and memory is O(2**10 |W|)
+whatever the side sizes.  The bounds are tabulated once per call with
+Python integers and clamped to the range the sums can take, so the scans
+run in int64 for every eps, however large its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .report import Report
 from .rng import make_rng
 
 EXACT_CAP = 20  # largest side size for exhaustive subset enumeration
+_BLOCK_BITS = 10  # an exact scan takes its masks 2**10 at a time
 
 
 @dataclass(frozen=True)
@@ -70,13 +81,6 @@ def _adj_matrix(g: LayeredGraph, layer, U, W):
     return u_list, w_list, M
 
 
-def _violates(e_sub: int, a: int, m: int, e: int, ab: int, eps: Fraction) -> bool:
-    """|e_sub/(a m) - e/ab| >= eps, exactly, in integers."""
-    p, q = eps.numerator, eps.denominator
-    lhs = abs(e_sub * ab - e * a * m) * q
-    return lhs >= p * a * m * ab
-
-
 def check_regular_pair(g: LayeredGraph, layer, U, W, eps, mode="exact",
                        cap: int = EXACT_CAP) -> RegPairCertificate:
     """Certify (U, W) as eps-regular or produce an exact irregularity witness.
@@ -115,51 +119,90 @@ def check_regular_pair(g: LayeredGraph, layer, U, W, eps, mode="exact",
 
 
 def _check_exact(M, u_list, w_list, e, ab, eps, d, a_min, m_min) -> RegPairCertificate:
-    nu, nw = len(u_list), len(w_list)
+    """Exhaustive check; the witness is the lex-first violating subset pair.
+
+    U'-masks over u_list are scanned in increasing order (``_first_hit``).
+    For a U' of size a the m largest and the m smallest degrees of w_list
+    into U' are the extremal e(U', W') over all W' of size m, so U' admits a
+    violating W' exactly when one of those prefix sums violates for some m.
+    The first such U' is fixed, and W'-masks over w_list are then scanned in
+    increasing order for the first violating W' (the extremal W' is one, so
+    the scan always finds one).  Both scans use the one ``violates`` test.
+    """
+    nu, nw = M.shape
+    violates = _violation_test(e, ab, eps, a_min, m_min, nu, nw)
+
+    def u_test(sums):  # per U': degrees of w_list into U', then |U'|
+        row, a = np.sort(sums[:, :nw], axis=1), sums[:, nw]
+        extremal = np.stack([row, row[:, ::-1]]).cumsum(axis=2)
+        return violates(extremal, a, slice(1, None)).any(axis=(0, 2))
+
+    found = _first_hit(np.column_stack([M, np.ones(nu, dtype=np.int64)]), u_test)
+    if found is None:
+        return RegPairCertificate("exact-regular", eps, d)
+    umask, sums = found
+    deg, a = sums[:nw], int(sums[nw])
+    wmask, (x, m) = _first_hit(np.column_stack([deg, np.ones(nw, dtype=np.int64)]),
+                               lambda s: violates(s[:, 0], a, s[:, 1]))
+    Up = frozenset(u for i, u in enumerate(u_list) if umask >> i & 1)
+    Wp = frozenset(w for j, w in enumerate(w_list) if wmask >> j & 1)
+    return RegPairCertificate("exact-irregular", eps, d,
+                              witness=(Up, Wp, Fraction(int(x), a * int(m))))
+
+
+def _violation_test(e, ab, eps, a_min, m_min, nu, nw):
+    """violates(x, a, m): |x/(a m) - e/ab| >= eps, with a >= a_min, m >= m_min.
+
+    x = e(U', W'), a = |U'| and m = |W'|; ``upper[a, m]`` and ``lower[a, m]``
+    must index to an array that broadcasts against x.  Cleared of
+    denominators the test is |x ab - e a m| q >= p a m ab.  The left side is
+    an integer, so with need = ceil(p a m ab / q) it holds exactly when
+    x ab >= e a m + need or x ab <= e a m - need, that is, when
+    x >= ceil((e a m + need) / ab) or x <= floor((e a m - need) / ab).
+    Those two bounds are tabulated once per (a, m) in Python integers and
+    clamped to ab + 1 and -1, which no x in [0, ab] reaches; sizes below the
+    minimum get the clamps.  So the tables are int64 whatever p and q are,
+    and the test on arrays is two comparisons.
+    """
     p, q = eps.numerator, eps.denominator
-    # degs[mask][j] = deg of w_list[j] into the U-subset encoded by mask
-    degs = np.zeros((1 << nu, nw), dtype=np.int32)
-    for mask in range(1, 1 << nu):
-        low = mask & -mask
-        degs[mask] = degs[mask ^ low] + M[low.bit_length() - 1]
-    for mask in range(1, 1 << nu):
-        a = mask.bit_count()
-        if a < a_min:
-            continue
-        row = sorted(degs[mask].tolist(), reverse=True)
-        pref_hi = pref_lo = 0
-        found = False
-        for m in range(1, nw + 1):
-            pref_hi += row[m - 1]       # m largest degrees
-            pref_lo += row[nw - m]      # m smallest degrees
-            if m < m_min:
-                continue
-            # extremal e(U', W') for this (a, m): any violation implies one here
-            if _violates(pref_hi, a, m, e, ab, eps) or _violates(pref_lo, a, m, e, ab, eps):
-                found = True
-                break
-        if found:
-            wit = _first_witness_for_mask(degs[mask], mask, u_list, w_list,
-                                          e, ab, eps, a, m_min)
-            return RegPairCertificate("exact-irregular", eps, d, witness=wit)
-    return RegPairCertificate("exact-regular", eps, d)
+    upper = np.full((nu + 1, nw + 1), ab + 1, dtype=np.int64)
+    lower = np.full((nu + 1, nw + 1), -1, dtype=np.int64)
+    for a in range(a_min, nu + 1):
+        for m in range(m_min, nw + 1):
+            need = -(-p * a * m * ab // q)
+            upper[a, m] = min(-(-(e * a * m + need) // ab), ab + 1)
+            lower[a, m] = max((e * a * m - need) // ab, -1)
+
+    def violates(x, a, m):
+        return (x >= upper[a, m]) | (x <= lower[a, m])
+
+    return violates
 
 
-def _first_witness_for_mask(deg_vec, umask, u_list, w_list, e, ab, eps, a, m_min):
-    """Lex-first violating W' for a fixed violating U'-mask."""
-    nw = len(w_list)
-    deg_vec = deg_vec.tolist()
-    esub = np.zeros(1 << nw, dtype=np.int64)
-    for wmask in range(1, 1 << nw):
-        low = wmask & -wmask
-        j = low.bit_length() - 1
-        esub[wmask] = esub[wmask ^ low] + deg_vec[j]
-        m = wmask.bit_count()
-        if m >= m_min and _violates(int(esub[wmask]), a, m, e, ab, eps):
-            Up = frozenset(u_list[i] for i in range(len(u_list)) if umask >> i & 1)
-            Wp = frozenset(w_list[i] for i in range(nw) if wmask >> i & 1)
-            return (Up, Wp, Fraction(int(esub[wmask]), a * m))
-    raise AssertionError("violating U' mask had no violating W'")
+def _first_hit(rows, test):
+    """The first mask, in increasing order, whose subset sum passes ``test``.
+
+    The subset sum of a mask is the sum of the rows of the (k, n) integer
+    array ``rows`` at its set bits.  Masks are scanned in blocks of 2**c,
+    c = min(10, k): the sums over the low c bits come from a table built
+    once by doubling, and each block adds the one sum of its fixed high
+    bits, so a block holds 2**c x n integers and memory is O(2**10 n)
+    whatever k is.  ``test`` maps a block's (2**c, n) sums to a (2**c,)
+    bool array.  Returns (mask, subset sum) or None.
+    """
+    c = min(_BLOCK_BITS, len(rows))
+    low = np.zeros((1 << c, rows.shape[1]), dtype=np.int64)
+    for i in range(c):
+        low[1 << i:2 << i] = low[:1 << i] + rows[i]
+    high = rows[c:]
+    places = np.arange(len(high))
+    for b in range(1 << len(high)):
+        sums = low + ((b >> places) & 1) @ high
+        hit = test(sums)
+        if hit.any():
+            j = int(hit.argmax())
+            return (b << c) + j, sums[j]
+    return None
 
 
 def _check_sampled(M, u_list, w_list, e, ab, eps, d, a_min, m_min,

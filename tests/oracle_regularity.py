@@ -1,9 +1,17 @@
-"""Independent brute-force regular-pair oracle.
+"""Regular-pair oracles for cross-checking check_regular_pair.
 
-Fully vectorized over all W'-masks per U'-mask, with int64 arithmetic (no
-denominators are compared until both sides are cleared), organized completely
-differently from the production path (no sorted-prefix extremal pruning).
-Used to cross-check check_regular_pair at desk scale.
+``oracle_regular_pair`` is an independent brute force: fully vectorized over
+all W'-masks per U'-mask, with int64 arithmetic (no denominators are
+compared until both sides are cleared), organized completely differently
+from the production path (no sorted-prefix extremal pruning).  It visits
+every (U'-mask, W'-mask) pair, so it stays at desk scale (sides <= 10).
+
+``loop_regular_pair`` is the loop form of the production kernel: one U-mask
+at a time, each with its own sort and prefix scan, then one W-mask at a time
+for the witness.  It visits the U-masks and then the W-masks, not their
+product, so it reaches sides past the kernel's 2**10-mask blocks; it is the
+reference the chunked kernel must match verdict for verdict and witness for
+witness.
 """
 
 from __future__ import annotations
@@ -11,6 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from structhunt.regularity import _adj_matrix, _min_size
 
 
 def oracle_regular_pair(g, layer, U, W, eps: Fraction):
@@ -65,3 +75,59 @@ def _ceil_min(eps: Fraction, size: int) -> int:
     if a < bound:
         a += 1
     return a
+
+
+def loop_regular_pair(g, layer, U, W, eps: Fraction):
+    """Return ("regular", None) or ("irregular", (U', W', d')) -- lex-first witness."""
+    u_list, w_list, M = _adj_matrix(g, layer, frozenset(U), frozenset(W))
+    nu, nw = len(u_list), len(w_list)
+    if nu == 0 or nw == 0:
+        return "regular", None
+    e = int(M.sum())
+    ab = nu * nw
+    a_min = max(_min_size(eps, nu), 1)
+    m_min = max(_min_size(eps, nw), 1)
+    # degs[mask][j] = deg of w_list[j] into the U-subset encoded by mask
+    degs = np.zeros((1 << nu, nw), dtype=np.int32)
+    for mask in range(1, 1 << nu):
+        low = mask & -mask
+        degs[mask] = degs[mask ^ low] + M[low.bit_length() - 1]
+    for mask in range(1, 1 << nu):
+        a = mask.bit_count()
+        if a < a_min:
+            continue
+        row = sorted(degs[mask].tolist(), reverse=True)
+        pref_hi = pref_lo = 0
+        for m in range(1, nw + 1):
+            pref_hi += row[m - 1]       # m largest degrees
+            pref_lo += row[nw - m]      # m smallest degrees
+            if m < m_min:
+                continue
+            # extremal e(U', W') for this (a, m): any violation implies one here
+            if _violates(pref_hi, a, m, e, ab, eps) or _violates(pref_lo, a, m, e, ab, eps):
+                return "irregular", _first_witness_for_mask(
+                    degs[mask], mask, u_list, w_list, e, ab, eps, a, m_min)
+    return "regular", None
+
+
+def _violates(e_sub: int, a: int, m: int, e: int, ab: int, eps: Fraction) -> bool:
+    """|e_sub/(a m) - e/ab| >= eps, exactly, in integers."""
+    p, q = eps.numerator, eps.denominator
+    lhs = abs(e_sub * ab - e * a * m) * q
+    return lhs >= p * a * m * ab
+
+
+def _first_witness_for_mask(deg_vec, umask, u_list, w_list, e, ab, eps, a, m_min):
+    """Lex-first violating W' for a fixed violating U'-mask."""
+    nw = len(w_list)
+    deg_vec = deg_vec.tolist()
+    esub = [0] * (1 << nw)
+    for wmask in range(1, 1 << nw):
+        low = wmask & -wmask
+        esub[wmask] = esub[wmask ^ low] + deg_vec[low.bit_length() - 1]
+        m = wmask.bit_count()
+        if m >= m_min and _violates(esub[wmask], a, m, e, ab, eps):
+            Up = frozenset(u_list[i] for i in range(len(u_list)) if umask >> i & 1)
+            Wp = frozenset(w_list[i] for i in range(nw) if wmask >> i & 1)
+            return (Up, Wp, Fraction(esub[wmask], a * m))
+    raise AssertionError("violating U' mask had no violating W'")

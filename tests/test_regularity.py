@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_regularity import oracle_regular_pair
+from oracle_regularity import loop_regular_pair, oracle_regular_pair
 from structhunt.regularity import (RegularizedGraph, RegularizedMatching, Sampled,
+                                   _first_hit,
                                    check_m_cover, check_regular_pair,
                                    check_super_regular, degree_typicality,
                                    restrict_pair_params,
@@ -87,6 +89,118 @@ class TestCheckRegularPair:
             assert cert.witness[0] == witness[0]
             assert cert.witness[1] == witness[1]
             assert cert.witness[2] == witness[2]
+
+
+def planted(a, b, ka, kb, noise, seed):
+    """A complete ka x kb block on the highest indices of both sides of an
+    a x b pair, plus each other cross pair with probability noise."""
+    rng = random.Random(seed)
+    A, B = list(range(a)), list(range(a, a + b))
+    block = {(u, w) for u in A[a - ka:] for w in B[b - kb:]}
+    edges = sorted(block) + [(u, w) for u in A for w in B
+                             if (u, w) not in block and rng.random() < noise]
+    return graph_from_edges(a + b, edges), frozenset(A), frozenset(B)
+
+
+def agrees_with_loop(g, A, B, eps):
+    """Verdict and witness (U', W', d') equal the loop-form reference's."""
+    cert = check_regular_pair(g, "G", A, B, eps)
+    verdict, witness = loop_regular_pair(g, "G", A, B, eps)
+    assert (cert.verdict, cert.witness) == (
+        "exact-%s" % verdict, witness), (len(A), len(B), eps)
+    return cert
+
+
+class TestExactKernelBlocks:
+    """The chunked kernel against the loop form, with sides past one
+    2**10-mask block, so both scans cross block boundaries."""
+
+    def test_first_hit_order(self):
+        rng = random.Random(5)
+        for k in (0, 1, 9, 10, 11, 13):
+            rows = [[rng.randint(0, 3), rng.randint(-2, 2)] for _ in range(k)]
+            target = rng.randint(0, 3 * k)
+
+            def sum_of(mask):
+                return [sum(r[c] for i, r in enumerate(rows) if mask >> i & 1)
+                        for c in range(2)]
+
+            want = next((mask for mask in range(1 << k)
+                         if sum_of(mask)[0] >= target and sum_of(mask)[1] < 0), None)
+            got = _first_hit(np.array(rows, dtype=np.int64).reshape(k, 2),
+                             lambda s: (s[:, 0] >= target) & (s[:, 1] < 0))
+            if want is None:
+                assert got is None
+            else:
+                assert got[0] == want and list(got[1]) == sum_of(want)
+
+    @pytest.mark.parametrize("a,b", [(14, 14), (11, 14), (14, 11), (12, 3), (3, 12)])
+    def test_complete_and_empty(self, a, b):
+        for edges in ([], [(u, w) for u in range(a) for w in range(a, a + b)]):
+            g = graph_from_edges(a + b, edges)
+            cert = agrees_with_loop(g, frozenset(range(a)),
+                                    frozenset(range(a, a + b)), Fraction(1, 4))
+            assert cert.verdict == "exact-regular"
+
+    def test_random_pairs(self):
+        rng = random.Random(14)
+        for trial in range(24):
+            a, b = rng.randint(9, 14), rng.randint(1, 14)
+            if trial % 2:
+                a, b = b, a
+            eps = Fraction(rng.randint(1, 3), rng.choice([4, 5, 7, 8]))
+            agrees_with_loop(*bip(a, b, rng.choice([0.2, 0.5, 0.8]), trial), eps)
+
+    @pytest.mark.parametrize("a,b,ka,kb", [
+        (14, 14, 4, 4), (13, 14, 3, 4), (14, 13, 4, 3), (12, 14, 2, 4), (14, 11, 4, 1)])
+    def test_planted_on_highest_indices(self, a, b, ka, kb):
+        # Without noise a U' or W' that misses the block has sub-density 0,
+        # within eps of the pair density, so every violation uses the block.
+        g, A, B = planted(a, b, ka, kb, 0.0, seed=0)
+        cert = agrees_with_loop(g, A, B, Fraction(1, 4))
+        assert cert.verdict == "exact-irregular"
+        Up, Wp, dsub = cert.witness
+        assert g.density("G", Up, Wp) == dsub
+        # the first violation lies past the first 2**10 masks of both scans
+        assert max(Up) >= 10 and max(Wp) - a >= 10
+
+    def test_deviation_equal_to_eps_violates(self):
+        # With eps = d, an edgeless corner of two sides deviates by exactly
+        # eps: the boundary case of the >= test.
+        for a, b, ka, kb in ((14, 14, 4, 4), (11, 13, 3, 5), (6, 12, 2, 3)):
+            g, A, B = planted(a, b, ka, kb, 0.0, seed=0)
+            d = g.density("G", A, B)
+            cert = agrees_with_loop(g, A, B, d)
+            assert cert.witness[2] == 0
+        for seed in range(6):
+            g, A, B = bip(12, 11, 0.3, seed)
+            agrees_with_loop(g, A, B, g.density("G", A, B))
+
+    def test_planted_with_noise(self):
+        rng = random.Random(41)
+        for trial in range(8):
+            a, b = rng.randint(11, 14), rng.randint(11, 14)
+            g, A, B = planted(a, b, rng.randint(2, 5), rng.randint(2, 5),
+                              rng.choice([0.05, 0.1, 0.3]), seed=trial)
+            agrees_with_loop(g, A, B, Fraction(1, 4))
+
+    @pytest.mark.parametrize("eps", [
+        Fraction(10**18 + 3, 4 * 10**18 + 7),
+        Fraction(3 * 10**18 - 1, 10 * 10**18 + 9),
+        Fraction(10**18 - 1, 10**18)])
+    def test_huge_eps_terms(self, eps):
+        # max(p, q) * ab^2 exceeds 2**62 even for the 4x4 pair, so the
+        # cleared test's terms do not fit int64; the kernel's bounds must
+        # still come out exact
+        assert max(eps.numerator, eps.denominator) * 16**2 > 2**62
+        cases = [bip(a, b, 0.5, seed) for seed, (a, b) in enumerate(
+            [(4, 4), (7, 9), (12, 11), (11, 12)])]
+        cases += [planted(12, 12, 4, 4, 0.0, seed=1), planted(6, 6, 2, 2, 0.3, seed=2)]
+        cases.append((complete_bipartite(range(12), range(12, 24)),
+                      frozenset(range(12)), frozenset(range(12, 24))))
+        verdicts = {agrees_with_loop(g, A, B, eps).verdict for g, A, B in cases}
+        if eps < Fraction(1, 2):
+            assert verdicts == {"exact-regular", "exact-irregular"}
 
 
 class TestSuperRegular:

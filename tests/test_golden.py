@@ -1,5 +1,6 @@
-"""Byte-for-byte comparison of hunt outcomes and checker reports with the
-committed golden files (regenerate with tests/make_golden.py)."""
+"""Byte-for-byte comparison of hunt outcomes, checker reports and cleaning
+traces with the committed golden files (regenerate with
+tests/make_golden.py)."""
 
 from make_golden import GOLDEN_DIR, golden_files
 

@@ -6,7 +6,7 @@ degree/edge conventions), shadows, regularity, spots, decomposition, lks
 configurations, pipeline (the constructive case analysis and CLI), treecut.
 """
 
-from .graphcore import LayeredGraph, LayerExpr, load_graph, dump_graph
+from .graphcore import LayeredGraph, load_graph, dump_graph
 
-__all__ = ["LayeredGraph", "LayerExpr", "load_graph", "dump_graph"]
+__all__ = ["LayeredGraph", "load_graph", "dump_graph"]
 __version__ = "0.1.0"

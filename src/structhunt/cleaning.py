@@ -65,12 +65,12 @@ def envelope(g: LayeredGraph, layer, P, Q, Y, psi, Gamma, Omega, k) -> tuple:
         changed = False
         iterations += 1
         for v in sorted(Pp):
-            if g.deg(layer, v, frozenset(Qpp)) < a_bound:
+            if g.deg(layer, v, Qpp) < a_bound:
                 Pp.remove(v)
                 trace.append((v, "P'", "(a)"))
                 changed = True
         for v in sorted(Qp):
-            if g.deg(layer, v, P - frozenset(Pp)) >= psi_k:
+            if g.deg(layer, v, P - Pp) >= psi_k:
                 Qp.remove(v)
                 trace.append((v, "Q'", "(b)"))
                 if v in Qpp:
@@ -78,7 +78,7 @@ def envelope(g: LayeredGraph, layer, P, Q, Y, psi, Gamma, Omega, k) -> tuple:
                     trace.append((v, "Q''", "cascade"))
                 changed = True
         for v in sorted(Qpp):
-            if g.deg(layer, v, Q - frozenset(Qp)) >= psi_k:
+            if g.deg(layer, v, Q - Qp) >= psi_k:
                 Qpp.remove(v)
                 trace.append((v, "Q''", "(c)"))
                 changed = True
@@ -140,6 +140,7 @@ def clean_c_plus_yellow(g: LayeredGraph, layer, Xs, Y, r, omega_star,
 
     sqrt_bound = (omega_sstar.sqrt() if isinstance(omega_sstar, RootVal)
                   else sqrt_val(omega_sstar)) * k
+    delta_k, half_gamma_k = delta * k, gamma * k / 2
     Xp = [set(X) for X in Xs]
     Xp[1] -= Y
     trace = []
@@ -150,18 +151,17 @@ def clean_c_plus_yellow(g: LayeredGraph, layer, Xs, Y, r, omega_star,
         iterations += 1
         for i in range(r + 1):
             for v in sorted(Xp[i]):
-                if i >= 1 and g.deg(layer, v, frozenset(Xp[i - 1])) < delta * k:
+                if i >= 1 and g.deg(layer, v, Xp[i - 1]) < delta_k:
                     Xp[i].remove(v)
                     trace.append((v, "X%d'" % i, "(b)"))
                     changed = True
                     continue
-                if i <= r - 1 and g.deg(layer, v, Xs[i + 1] - frozenset(Xp[i + 1])) \
-                        >= gamma * k / 2:
+                if i <= r - 1 and g.deg(layer, v, Xs[i + 1] - Xp[i + 1]) >= half_gamma_k:
                     Xp[i].remove(v)
                     trace.append((v, "X%d'" % i, "(c)"))
                     changed = True
                     continue
-                if i == 0 and not cmp_ge(g.deg(layer, v, frozenset(Xp[1])), sqrt_bound):
+                if i == 0 and not cmp_ge(g.deg(layer, v, Xp[1]), sqrt_bound):
                     Xp[i].remove(v)
                     trace.append((v, "X0'", "(d)"))
                     changed = True
@@ -170,11 +170,11 @@ def clean_c_plus_yellow(g: LayeredGraph, layer, Xs, Y, r, omega_star,
     conc = Report("clean-C+yellow conclusions")
     conc.add("(a) X1' avoids Y", not (Xp[1] & Y))
     conc.add("(b) mindeg(X_i',X_i-1') >= delta k",
-             all(g.deg(layer, v, Xp[i - 1]) >= delta * k
-                 for i in range(1, r + 1) for v in Xp[i]), needed=delta * k)
+             all(g.deg(layer, v, Xp[i - 1]) >= delta_k
+                 for i in range(1, r + 1) for v in Xp[i]), needed=delta_k)
     conc.add("(c) maxdeg(X_i', X_i+1 - X_i+1') < gamma k/2",
-             all(g.deg(layer, v, Xs[i + 1] - Xp[i + 1]) < gamma * k / 2
-                 for i in range(r) for v in Xp[i]), needed=gamma * k / 2)
+             all(g.deg(layer, v, Xs[i + 1] - Xp[i + 1]) < half_gamma_k
+                 for i in range(r) for v in Xp[i]), needed=half_gamma_k)
     conc.add("(d) mindeg(X0',X1') >= sqrt(Omega**) k",
              all(cmp_ge(g.deg(layer, v, Xp[1]), sqrt_bound) for v in Xp[0]))
     e_after = g.e_ordered(layer, Xp[0], Xp[1])
@@ -212,7 +212,7 @@ def clean_c_plus_black(g: LayeredGraph, layer, X0, X1, Y, clusters, delta, eta,
     hyp.add("6. 10 h |C| Omega* < eta n", not cmp_ge(budget, eta * n),
             measured=budget, needed=eta * n)
 
-    sqrt_bound = sq * k
+    sqrt_bound, delta_k = sq * k, delta * k
     X0p = set(X0)
     X1p = set(X1 - Y)
     trace = []
@@ -222,12 +222,12 @@ def clean_c_plus_black(g: LayeredGraph, layer, X0, X1, Y, clusters, delta, eta,
         changed = False
         iterations += 1
         for v in sorted(X0p):
-            if not cmp_ge(g.deg(layer, v, frozenset(X1p)), sqrt_bound):
+            if not cmp_ge(g.deg(layer, v, X1p), sqrt_bound):
                 X0p.remove(v)
                 trace.append((v, "X0'", "(a)"))
                 changed = True
         for v in sorted(X1p):
-            if g.deg(layer, v, frozenset(X0p)) < delta * k:
+            if g.deg(layer, v, X0p) < delta_k:
                 X1p.remove(v)
                 trace.append((v, "X1'", "(b)"))
                 changed = True
@@ -244,8 +244,8 @@ def clean_c_plus_black(g: LayeredGraph, layer, X0, X1, Y, clusters, delta, eta,
     conc.add("(a) mindeg(X0',X1') >= sqrt(Omega**) k",
              all(cmp_ge(g.deg(layer, v, X1p), sqrt_bound) for v in X0p))
     conc.add("(b) mindeg(X1',X0') >= delta k",
-             all(g.deg(layer, v, X0p) >= delta * k for v in X1p),
-             needed=delta * k)
+             all(g.deg(layer, v, X0p) >= delta_k for v in X1p),
+             needed=delta_k)
     conc.add("(c) every cluster meets X1' in 0 or >= h vertices",
              all(not (frozenset(C) & X1p) or cmp_ge(len(frozenset(C) & X1p), h)
                  for C in clusters), needed=h)
@@ -286,6 +286,7 @@ def clean_yellow(g: LayeredGraph, layers, Xs, Y, r, omega, gamma, delta, eta,
             all(g.maxdeg(layers[i], Xs[i]) <= omega * k and
                 g.maxdeg(layers[i], Xs[i + 1]) <= omega * k for i in range(r)))
 
+    delta_k, half_gamma_k = delta * k, gamma * k / 2
     Xp = [set(X - Y) for X in Xs]
     trace = []
     iterations = 0
@@ -295,18 +296,18 @@ def clean_yellow(g: LayeredGraph, layers, Xs, Y, r, omega, gamma, delta, eta,
         iterations += 1
         for i in range(r + 1):
             for v in sorted(Xp[i]):
-                if i >= 1 and g.deg(layers[i - 1], v, frozenset(Xp[i - 1])) < delta * k:
+                if i >= 1 and g.deg(layers[i - 1], v, Xp[i - 1]) < delta_k:
                     Xp[i].remove(v)
                     trace.append((v, "X%d'" % i, "(a)"))
                     changed = True
                     continue
-                if i <= r - 1 and g.deg(layers[i], v, Xs[i + 1] - frozenset(Xp[i + 1])) \
-                        >= gamma * k / 2:
+                if i <= r - 1 and \
+                        g.deg(layers[i], v, Xs[i + 1] - Xp[i + 1]) >= half_gamma_k:
                     Xp[i].remove(v)
                     trace.append((v, "X%d'" % i, "(b)"))
                     changed = True
                     continue
-                if i == 0 and g.deg(layers[0], v, frozenset(Xp[1])) < delta * k:
+                if i == 0 and g.deg(layers[0], v, Xp[1]) < delta_k:
                     Xp[i].remove(v)
                     trace.append((v, "X0'", "(c)"))
                     changed = True
@@ -314,13 +315,13 @@ def clean_yellow(g: LayeredGraph, layers, Xs, Y, r, omega, gamma, delta, eta,
     Xp = [frozenset(X) for X in Xp]
     conc = Report("clean-yellow conclusions")
     conc.add("(a) mindeg_i(X_i',X_i-1') >= delta k",
-             all(g.deg(layers[i - 1], v, Xp[i - 1]) >= delta * k
-                 for i in range(1, r + 1) for v in Xp[i]), needed=delta * k)
+             all(g.deg(layers[i - 1], v, Xp[i - 1]) >= delta_k
+                 for i in range(1, r + 1) for v in Xp[i]), needed=delta_k)
     conc.add("(b) maxdeg_i+1(X_i', X_i+1 - X_i+1') < gamma k/2",
-             all(g.deg(layers[i], v, Xs[i + 1] - Xp[i + 1]) < gamma * k / 2
-                 for i in range(r) for v in Xp[i]), needed=gamma * k / 2)
+             all(g.deg(layers[i], v, Xs[i + 1] - Xp[i + 1]) < half_gamma_k
+                 for i in range(r) for v in Xp[i]), needed=half_gamma_k)
     conc.add("(c) mindeg_1(X0',X1') >= delta k",
-             all(g.deg(layers[0], v, Xp[1]) >= delta * k for v in Xp[0]))
+             all(g.deg(layers[0], v, Xp[1]) >= delta_k for v in Xp[0]))
     e_after = g.e_ordered(layers[0], Xp[0], Xp[1])
     conc.add("(d) e_1(X0',X1') >= eta k n/2" + ("" if hyp.ok else " [hyp failed]"),
              e_after >= eta * k * n / 2 if hyp.ok else None,
@@ -383,6 +384,7 @@ def clean_match(g: LayeredGraph, layers, Xs, Y, partitions, r, omega, gamma,
             all(g.maxdeg(layers[i], Xs[i]) <= omega * k and
                 g.maxdeg(layers[i], Xs[i + 1]) <= omega * k for i in range(r)))
 
+    delta_k, half_gamma_k = delta * k, gamma * k / 2
     Xp = [set(X - Y) for X in Xs]
     flushed = set()           # pair indices in J
     X1c = set()               # side-1 forward-discards, feeds the flush rule
@@ -395,13 +397,13 @@ def clean_match(g: LayeredGraph, layers, Xs, Y, partitions, r, omega, gamma,
         iterations += 1
         for i in range(1, r):  # conclusion (b): X_{i+1}' against X_i'
             for v in sorted(Xp[i + 1]):
-                if g.deg(layers[i], v, frozenset(Xp[i])) < delta * k:
+                if g.deg(layers[i], v, Xp[i]) < delta_k:
                     Xp[i + 1].remove(v)
                     trace.append((v, "X%d'" % (i + 1), "(b)"))
                     changed = True
         for i in range(1, r):  # conclusion (c): X_i' forward degrees
             for v in sorted(Xp[i]):
-                if g.deg(layers[i], v, Xs[i + 1] - frozenset(Xp[i + 1])) >= gamma * k / 2:
+                if g.deg(layers[i], v, Xs[i + 1] - Xp[i + 1]) >= half_gamma_k:
                     Xp[i].remove(v)
                     trace.append((v, "X%d'" % i, "(c)"))
                     if i == 1:
@@ -412,9 +414,8 @@ def clean_match(g: LayeredGraph, layers, Xs, Y, partitions, r, omega, gamma,
                 continue
             P0, P1 = frozenset(P0), frozenset(P1)
             for i, (Pi, Pother) in enumerate(((P0, P1), (P1, P0))):
-                for v in sorted(frozenset(Xp[i]) & Pi):
-                    if g.deg(layers[0], v, frozenset(Xp[1 - i]) & Pother) \
-                            <= d * len(Pother) / 4:
+                for v in sorted(Xp[i] & Pi):
+                    if g.deg(layers[0], v, Xp[1 - i] & Pother) <= d * len(Pother) / 4:
                         Xp[i].remove(v)
                         Xa[i].add(v)
                         trace.append((v, "X%d'" % i, "eviction pair %d" % j))
@@ -425,10 +426,10 @@ def clean_match(g: LayeredGraph, layers, Xs, Y, partitions, r, omega, gamma,
             P0, P1 = frozenset(P0), frozenset(P1)
             if len(P0 & Y) > len(P0) / 4 or len(P1 & (Y | X1c)) > len(P1) / 4:
                 flushed.add(j)
-                for v in sorted(P0 & frozenset(Xp[0])):
+                for v in sorted(P0 & Xp[0]):
                     Xp[0].remove(v)
                     trace.append((v, "X0'", "flush pair %d" % j))
-                for v in sorted(P1 & frozenset(Xp[1])):
+                for v in sorted(P1 & Xp[1]):
                     Xp[1].remove(v)
                     trace.append((v, "X1'", "flush pair %d" % j))
                 changed = True
@@ -461,11 +462,11 @@ def clean_match(g: LayeredGraph, layers, Xs, Y, partitions, r, omega, gamma,
             break
     conc.add("(a) surviving pairs (4 eps, d/4)-super-regular", sr_ok, note=sr_note)
     conc.add("(b) mindeg_i+1(X_i+1',X_i') >= delta k",
-             all(g.deg(layers[i], v, Xp[i]) >= delta * k
-                 for i in range(1, r) for v in Xp[i + 1]), needed=delta * k)
+             all(g.deg(layers[i], v, Xp[i]) >= delta_k
+                 for i in range(1, r) for v in Xp[i + 1]), needed=delta_k)
     conc.add("(c) maxdeg_i+1(X_i', X_i+1 - X_i+1') < gamma k/2",
-             all(g.deg(layers[i], v, Xs[i + 1] - Xp[i + 1]) < gamma * k / 2
-                 for i in range(1, r) for v in Xp[i]), needed=gamma * k / 2)
+             all(g.deg(layers[i], v, Xs[i + 1] - Xp[i + 1]) < half_gamma_k
+                 for i in range(1, r) for v in Xp[i]), needed=half_gamma_k)
     conc.add("X1' non-empty" + ("" if hyp.ok else " [hyp failed]"),
              bool(Xp[1]) if hyp.ok else None, measured=len(Xp[1]))
     conc.add("eviction sets", None,

@@ -5,6 +5,15 @@ The base layer "G" is always present; other layers (captured edges, the
 expander part, dense-spot edges, the regular part, ...) are independent edge
 sets and no containment between layers is enforced.
 
+A layer spec is layer names joined by "+" (union) and "-" (difference), read
+left to right, spaces ignored: "G_nabla+G_D-G_exp" is (G_nabla | G_D) - G_exp.
+An empty spec raises ValueError, an empty or unknown name KeyError, and a
+non-string TypeError.  Each graph caches the edges of a composite spec and
+the adjacency of every spec under the spec string.
+
+Each edge is validated once, where it enters: the constructor checks all it
+is given, load_graph each edge line, and with_layer only the layer it adds.
+
 Degree and edge-count conventions: deg(v, U) counts neighbours of v inside
 U; e(X) counts edges induced by X; e(X, Y) counts ordered pairs (x, y) with
 xy an edge, so e(X, X) = 2 e(X); densities are exact Fractions.
@@ -12,9 +21,9 @@ xy an edge, so e(X, X) = 2 e(X); densities are exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 Edge = tuple  # normalized (u, v) with u < v
 VertexSet = frozenset
@@ -39,69 +48,6 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class LayerExpr:
-    """Union/difference expression tree over layer names.
-
-    Parsed from strings like "G_nabla+G_D-G_exp" (left associative), or built
-    with | and -.  A bare layer name is also accepted anywhere an expression
-    is expected.
-    """
-
-    op: str  # "name" | "union" | "minus"
-    name: str = ""
-    left: Optional["LayerExpr"] = None
-    right: Optional["LayerExpr"] = None
-
-    @staticmethod
-    def of(spec) -> "LayerExpr":
-        if isinstance(spec, LayerExpr):
-            return spec
-        if isinstance(spec, str):
-            return LayerExpr.parse(spec)
-        raise TypeError("not a layer expression: %r" % (spec,))
-
-    @staticmethod
-    def parse(text: str) -> "LayerExpr":
-        parts = text.replace(" ", "")
-        if not parts:
-            raise ValueError("empty layer expression")
-        tokens = []
-        cur = ""
-        for ch in parts:
-            if ch in "+-":
-                tokens.append(cur)
-                tokens.append(ch)
-                cur = ""
-            else:
-                cur += ch
-        tokens.append(cur)
-        expr = LayerExpr("name", tokens[0])
-        i = 1
-        while i < len(tokens):
-            op = "union" if tokens[i] == "+" else "minus"
-            expr = LayerExpr(op, "", expr, LayerExpr("name", tokens[i + 1]))
-            i += 2
-        return expr
-
-    def __or__(self, other):
-        return LayerExpr("union", "", self, LayerExpr.of(other))
-
-    def __sub__(self, other):
-        return LayerExpr("minus", "", self, LayerExpr.of(other))
-
-    def names(self) -> set:
-        if self.op == "name":
-            return {self.name}
-        return self.left.names() | self.right.names()
-
-    def key(self) -> str:
-        if self.op == "name":
-            return self.name
-        sym = "+" if self.op == "union" else "-"
-        return "(%s%s%s)" % (self.left.key(), sym, self.right.key())
-
-
 class LayeredGraph:
     """n vertices, named edge layers; immutable after construction."""
 
@@ -110,7 +56,6 @@ class LayeredGraph:
             raise ValueError("negative vertex count")
         if "G" not in layers:
             raise ValueError('base layer "G" missing')
-        self.n = n
         norm_layers = {}
         for name, edges in layers.items():
             seen = set()
@@ -123,52 +68,65 @@ class LayeredGraph:
                     raise ValueError("duplicate edge %r in layer %s" % (e, name))
                 seen.add(ne)
             norm_layers[name] = frozenset(seen)
-        self.layers = norm_layers
-        self._adj_cache = {}
+        self._assign(n, norm_layers)
 
-    # -- layer algebra -------------------------------------------------
+    def _assign(self, n: int, layers: dict) -> None:
+        """Set the fields; layers maps names to frozensets of valid (u, v), u < v."""
+        self.n, self.layers, self._folded, self._adj_cache = n, layers, {}, {}
+
+    @classmethod
+    def _validated(cls, n: int, layers: dict) -> "LayeredGraph":
+        """A graph on layers its caller has already validated."""
+        g = cls.__new__(cls)
+        g._assign(n, layers)
+        return g
+
+    # -- layer specs -----------------------------------------------------
 
     def has_layer(self, name: str) -> bool:
         return name in self.layers
 
     def edges(self, layer="G") -> frozenset:
-        """Edge set of a layer expression."""
-        expr = LayerExpr.of(layer)
-        key = expr.key()
-        if key in self.layers:
-            return self.layers[key]
-        return self._resolve(expr)
+        """Edge set of a layer spec (grammar in the module docstring)."""
+        found = self.layers.get(layer)
+        if found is None:
+            found = self._folded.get(layer)
+        if found is None:
+            found = self._folded[layer] = self._fold(layer)
+        return found
 
-    def _resolve(self, expr: LayerExpr) -> frozenset:
-        if expr.op == "name":
-            try:
-                return self.layers[expr.name]
-            except KeyError:
-                raise KeyError("unknown layer %r" % (expr.name,)) from None
-        left = self._resolve(expr.left)
-        right = self._resolve(expr.right)
-        return left | right if expr.op == "union" else left - right
+    def _fold(self, spec) -> frozenset:
+        if not isinstance(spec, str):
+            raise TypeError("not a layer spec: %r" % (spec,))
+        tokens = re.split(r"([+-])", spec.replace(" ", ""))
+        if tokens == [""]:
+            raise ValueError("empty layer spec")
+        result = frozenset()
+        for op, name in zip(["+"] + tokens[1::2], tokens[::2]):
+            named = self.layers.get(name)
+            if named is None:
+                raise KeyError("unknown layer %r" % (name,))
+            result = result | named if op == "+" else result - named
+        return result
 
     def with_layer(self, name: str, edges: Iterable) -> "LayeredGraph":
-        """New graph with one extra (or replaced) layer."""
-        layers = dict(self.layers)
-        layers[name] = frozenset(norm_edge(*e) for e in edges)
-        return LayeredGraph(self.n, layers)
+        """New graph with one extra (or replaced) layer; duplicate edges merge."""
+        new = frozenset(norm_edge(*e) for e in edges)
+        for u, v in new:
+            if u < 0 or v >= self.n:
+                raise ValueError("edge %r out of range in layer %s" % ((u, v), name))
+        return LayeredGraph._validated(self.n, {**self.layers, name: new})
 
     def adj(self, layer="G"):
-        """Adjacency as a tuple of frozensets, cached per expression."""
-        expr = LayerExpr.of(layer)
-        key = expr.key()
-        cached = self._adj_cache.get(key)
-        if cached is not None:
-            return cached
-        nbrs = [set() for _ in range(self.n)]
-        for u, v in self.edges(expr):
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        result = tuple(frozenset(s) for s in nbrs)
-        self._adj_cache[key] = result
-        return result
+        """Adjacency as a tuple of frozensets, cached per spec string."""
+        cached = self._adj_cache.get(layer)
+        if cached is None:
+            nbrs = [set() for _ in range(self.n)]
+            for u, v in self.edges(layer):
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            cached = self._adj_cache[layer] = tuple(frozenset(s) for s in nbrs)
+        return cached
 
     def vertices(self) -> frozenset:
         return frozenset(range(self.n))
@@ -199,18 +157,19 @@ class LayeredGraph:
     def e_induced(self, layer, X) -> int:
         """e(X): number of edges with both ends in X."""
         Xs = frozenset(X)
-        return sum(1 for u, v in self.edges(layer) if u in Xs and v in Xs)
+        return self.e_ordered(layer, Xs, Xs) // 2
 
     def e_ordered(self, layer, X, Y) -> int:
-        """e(X, Y): ordered pairs (x, y), xy an edge; X and Y may overlap."""
+        """e(X, Y): ordered pairs (x, y), xy an edge; X and Y may overlap.
+
+        Summed over the smaller side's adjacency, as e(X, Y) = e(Y, X);
+        vertices outside 0..n-1 have no edges.
+        """
         Xs, Ys = frozenset(X), frozenset(Y)
-        total = 0
-        for u, v in self.edges(layer):
-            if u in Xs and v in Ys:
-                total += 1
-            if v in Xs and u in Ys:
-                total += 1
-        return total
+        if len(Ys) < len(Xs):
+            Xs, Ys = Ys, Xs
+        adj, n = self.adj(layer), self.n
+        return sum(len(adj[x] & Ys) for x in Xs if 0 <= x < n)
 
     def edges_between(self, layer, X, Y) -> frozenset:
         """Edges xy with x in X and y in Y; X and Y may overlap."""
@@ -301,7 +260,8 @@ def load_graph(text: str) -> LayeredGraph:
         raise GraphFormatError(0, "empty input, no 'n' line")
     if "G" not in layers:
         layers["G"] = set()
-    return LayeredGraph(n, layers)
+    return LayeredGraph._validated(
+        n, {name: frozenset(es) for name, es in layers.items()})
 
 
 def dump_graph(g: LayeredGraph) -> str:

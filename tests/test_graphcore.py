@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from structhunt.graphcore import (GraphFormatError, LayerExpr, LayeredGraph,
-                                  dump_graph, load_graph)
+from structhunt.graphcore import (GraphFormatError, LayeredGraph, dump_graph,
+                                  load_graph)
 from util import (brute_force_density, brute_force_e_ordered, complete_bipartite,
                   complete_graph, cycle_graph, graph_from_edges, path_graph,
                   random_graph)
@@ -52,21 +52,73 @@ class TestLoadGraph:
         assert g2.layers == g.layers
 
 
-class TestLayerExpr:
+class TestLayerSpec:
     def test_parse_union_minus(self):
         g = graph_from_edges(4, [(0, 1), (1, 2)], G_D=[(1, 2), (2, 3)])
         assert g.edges("G+G_D") == frozenset({(0, 1), (1, 2), (2, 3)})
         assert g.edges("G-G_D") == frozenset({(0, 1)})
+
+    def test_left_to_right_spaces_ignored(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2)], G_D=[(1, 2), (2, 3)])
+        assert g.edges(" G + G_D - G_D ") == frozenset({(0, 1)})
+        assert g.edges("G - G_D + G_D") == frozenset({(0, 1), (1, 2), (2, 3)})
+        assert g.deg("G - G_D + G_D", 2) == 2
 
     def test_unknown_layer(self):
         g = complete_graph(3)
         with pytest.raises(KeyError):
             g.edges("G_reg")
 
-    def test_operator_building(self):
-        g = graph_from_edges(4, [(0, 1)], G_D=[(2, 3)])
-        expr = LayerExpr.of("G") | "G_D"
-        assert g.edges(expr) == frozenset({(0, 1), (2, 3)})
+    @pytest.mark.parametrize("spec, exc", [
+        ("", ValueError), ("G+", KeyError), ("+G", KeyError),
+        ("G++G_D", KeyError), ("G_nope", KeyError), (None, TypeError),
+        (3, TypeError), (["G"], TypeError)])
+    def test_malformed_spec_named_error(self, spec, exc):
+        g = graph_from_edges(3, [(0, 1)], G_D=[(1, 2)])
+        for query in (lambda: g.edges(spec), lambda: g.adj(spec),
+                      lambda: g.deg(spec, 0), lambda: g.e_ordered(spec, {0}, {1})):
+            with pytest.raises(Exception) as ei:
+                query()
+            assert type(ei.value) is exc, (spec, ei.value)
+
+    def test_composite_spec_cached(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2)], G_D=[(1, 2), (2, 3)])
+        assert g.edges("G") is g.layers["G"]
+        assert g.edges("G+G_D") is g.edges("G+G_D")
+        assert g.adj("G-G_D") is g.adj("G-G_D")
+        assert g.adj("G-G_D")[1] == frozenset({0})
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 2), (2, -1), (1, 1)])
+    def test_bad_edge_rejected(self, edge):
+        with pytest.raises(ValueError):
+            LayeredGraph(3, {"G": [(0, 1), edge]})
+        with pytest.raises(ValueError):
+            LayeredGraph(3, {"G": [(0, 1)], "G_D": [edge]})
+        with pytest.raises(ValueError):
+            complete_graph(3).with_layer("G_D", [(0, 1), edge])
+
+    def test_with_layer_shares_parent_layers(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2)], G_D=[(2, 3)])
+        g2 = g.with_layer("G_exp", [(1, 0), (0, 1), (2, 3)])
+        assert g2.edges("G_exp") == frozenset({(0, 1), (2, 3)})
+        assert g2.layers["G"] is g.layers["G"]
+        assert g2.layers["G_D"] is g.layers["G_D"]
+        assert not g.has_layer("G_exp")
+        g3 = g2.with_layer("G", [(2, 3)])
+        assert g3.edges("G") == frozenset({(2, 3)})
+        assert g3.layers["G_exp"] is g2.layers["G_exp"]
+
+    def test_duplicate_edge_rejected(self):
+        with pytest.raises(ValueError):
+            LayeredGraph(3, {"G": [(0, 1), (1, 0)]})
+
+    def test_loaded_graph_matches_constructed(self):
+        g = load_graph("n 4\nlayer G_D\n2 3\nlayer G\n1 0\n2 1\n")
+        assert g.layers == graph_from_edges(4, [(0, 1), (1, 2)],
+                                            G_D=[(2, 3)]).layers
+        assert g.adj("G+G_D")[2] == frozenset({1, 3})
 
 
 class TestDeg:
@@ -144,7 +196,28 @@ def small_graphs(draw):
     return random_graph(n, p, seed)
 
 
+def scan_e_ordered(edges, X, Y):
+    """Reference: e(X, Y) by one pass over every edge of the layer."""
+    return sum((u in X and v in Y) + (v in X and u in Y) for u, v in edges)
+
+
 class TestInvariants:
+    @given(small_graphs(), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_pair_counts_match_edge_scan(self, g, seed):
+        rng = random.Random(seed)
+        g = g.with_layer("G_exp", [e for e in sorted(g.edges("G"))
+                                   if rng.random() < 0.5])
+        X = frozenset(v for v in range(g.n) if rng.random() < rng.random())
+        Y = frozenset(v for v in range(g.n) if rng.random() < rng.random())
+        for spec in ("G", "G-G_exp", "G_exp+G"):
+            edges = g.edges(spec)
+            for A, B in ((X, Y), (Y, X), (X, X), (X, X & Y), (X, frozenset()),
+                         (frozenset(), Y)):
+                assert g.e_ordered(spec, A, B) == scan_e_ordered(edges, A, B)
+                assert g.e_induced(spec, A) == scan_e_ordered(edges, A, A) // 2
+            assert g.e_ordered(spec, list(X), iter(Y)) == scan_e_ordered(edges, X, Y)
+
     @given(small_graphs(), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_double_counting(self, g, seed):

@@ -342,3 +342,38 @@ def wa_t3_instance():
     split = manual_split(b, A + B + M2, Eb + D4 + Wa + Wb, W,
                          fractions=(F2, Fraction(1, 4), Fraction(1, 4)))
     return b, split
+
+
+def k2_t5_instance():
+    """K1 fails, K2 holds, and every M_good side has type t5: the K2 route
+    (M1) into the regularized-graph endgame.  Each M_A vertex gets its
+    large degree from low-degree M_B vertices, which lie in S, so they
+    count for YA but add nothing to 2e(XA) + e(XA, XB)."""
+    pairs = [(frozenset({0, 1}), frozenset({2, 3})),
+             (frozenset({4, 5}), frozenset({6, 7}))]
+    ma_edges = bip([0, 1], [2, 3]) + bip([4, 5], [6, 7])
+    mb_pairs = [(frozenset({8 + 4 * i, 9 + 4 * i}),
+                 frozenset({10 + 4 * i, 11 + 4 * i})) for i in range(8)]
+    mb_edges = [e for X, Y in mb_pairs for e in bip(sorted(X), sorted(Y))]
+    # M_A member i is complete to the four M_B members 4i..4i+3, so every
+    # cross pair of members is complete or empty
+    ma_members = [X for pair in pairs for X in pair]
+    mb_members = [X for pair in mb_pairs for X in pair]
+    to_mb = [e for i, X in enumerate(ma_members)
+             for Y in mb_members[4 * i:4 * i + 4] for e in bip(sorted(X), sorted(Y))]
+    G = sorted(set(norm_edge(*e) for e in ma_edges + mb_edges + to_mb))
+    spots = [DenseSpot(a, bb, bip(sorted(a), sorted(bb)), 1, Fraction(1, 100))
+             for a, bb in pairs + mb_pairs]
+    MA = RegularizedMatching(pairs, Fraction(1, 10), Fraction(1), 2, "G_D")
+    MB = RegularizedMatching(mb_pairs, Fraction(1, 10), Fraction(1), 2, "G_D")
+    b = assemble(40, G, {"G_exp": [], "G_reg": G, "G_nabla": G,
+                         "G_D": ma_edges + mb_edges},
+                 spots=spots, MA=MA, MB=MB,
+                 k=6, eta=F2, rho=Fraction(1, 1000), gamma=F2,
+                 eps_prime=Fraction(1, 10**6), pi=Fraction(1, 4),
+                 omega_star=Fraction(2), omega_sstar=Fraction(2))
+    split = manual_split(b, list(range(0, 8)), list(range(8, 24)),
+                         list(range(24, 40)),
+                         fractions=(Fraction(1, 5), Fraction(2, 5),
+                                    Fraction(2, 5)))
+    return b, split

@@ -161,6 +161,17 @@ class TestT5Endgame:
         assert hunt_configuration(b, split).dump() == \
             hunt_configuration(b, split).dump()
 
+    def test_k2_route_reaches_D10(self):
+        # the M1 branch of _t5_case: A and B come from the M_good pair
+        from pipeline_instances import k2_t5_instance
+
+        b, split = k2_t5_instance()
+        out = hunt_configuration(b, split)
+        assert out.status == "found", out.dump()
+        assert any(ci.item == "matching case" and ci.measured == "M1 cA t5"
+                   for ci in out.trace.items)
+        assert (out.witness.data["A"], out.witness.data["B"]) == b.M_good.pairs[0]
+
     def test_all_pairs_shadowed_out_of_regime(self):
         # when every matching pair is quarter-covered by the small-cluster
         # shadow, the pair search fails and the hunt reports, no witness

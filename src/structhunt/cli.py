@@ -2,7 +2,9 @@
 
 Exit codes for hunt-config / verify-witness: 0 = verified witness,
 2 = hypotheses unmet, 3 = out-of-regime (trace emitted).  All outputs are
-structured text; hunt-config writes into a run directory.
+structured text; hunt-config writes into a run directory.  A malformed
+graph file or a layer spec naming no layer of the graph ends any command
+with one line on stderr and exit code 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .configurations import (ConfigParams, verify_configuration,
 from .exactmath import MissingParameter, RootVal
 from .fileio import (dump_split, dump_spot_line, load_instance_dir,
                      parse_witness)
-from .graphcore import LayeredGraph, fmt_vertex_set, load_graph, parse_vertex_set
+from .graphcore import (GraphFormatError, LayeredGraph, fmt_vertex_set,
+                        load_graph, parse_vertex_set)
 from .lks import derive_common_sets
 from .pipeline import hunt_configuration
 from .regularity import Sampled, check_regular_pair
@@ -28,8 +31,22 @@ from .splitting import proportional_split, random_split
 from .spots import greedy_dense_cover
 
 
-def _read_graph(path: str) -> LayeredGraph:
-    return load_graph(Path(path).read_text())
+class InputError(Exception):
+    """Bad input, described in one line; main prints it and returns 1."""
+
+
+def _read_graph(path, *specs) -> LayeredGraph:
+    """The graph in the file at path, with each layer spec checked against it."""
+    try:
+        g = load_graph(Path(path).read_text())
+    except GraphFormatError as exc:
+        raise InputError("%s: %s" % (path, exc)) from None
+    for spec in specs:
+        try:
+            g.edges(spec)
+        except (KeyError, ValueError) as exc:
+            raise InputError("layer spec %r: %s" % (spec, exc.args[0])) from None
+    return g
 
 
 def _vs(arg: str, n: int):
@@ -37,7 +54,7 @@ def _vs(arg: str, n: int):
 
 
 def cmd_shadow(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.layer)
     U = _vs(args.set, g.n)
     q = ShadowQuery(args.layer, U, Fraction(args.ell), args.depth)
     result = shadow_iter(g, q)
@@ -58,7 +75,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_check_regular(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.layer)
     U = _vs(args.U, g.n)
     W = _vs(args.W, g.n)
     mode = "exact" if args.mode == "exact" else Sampled(args.trials, args.seed)
@@ -75,7 +92,7 @@ def cmd_check_regular(args) -> int:
 
 
 def cmd_find_spots(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read_graph(args.graph, args.layer)
     cover, residual = greedy_dense_cover(g, args.layer, Fraction(args.m),
                                          Fraction(args.gamma))
     for s in cover:
@@ -85,7 +102,9 @@ def cmd_find_spots(args) -> int:
 
 
 def cmd_clean(args) -> int:
-    g = _read_graph(args.graph)
+    layers = args.layers.split(",")
+    g = _read_graph(args.graph, *(layers if args.op in ("yellow", "match")
+                                  else [args.layer]))
     n = g.n
     sets = [_vs(x, n) for x in args.sets.split("/")]
     Y = _vs(args.Y, n)
@@ -118,14 +137,12 @@ def cmd_clean(args) -> int:
         print("X0' = %s" % fmt_vertex_set(X0p))
         print("X1' = %s" % fmt_vertex_set(X1p))
     elif args.op == "yellow":
-        layers = args.layers.split(",")
         Xp, rep = clean_yellow(g, layers, sets, Y, len(layers),
                                Fraction(args.Omega), Fraction(args.gamma),
                                Fraction(args.delta), Fraction(args.eta), k)
         for i, X in enumerate(Xp):
             print("X%d' = %s" % (i, fmt_vertex_set(X)))
     else:  # match
-        layers = args.layers.split(",")
         partitions = []
         for part in args.partitions.split(";"):
             left, right = part.split("|")
@@ -145,7 +162,10 @@ def cmd_clean(args) -> int:
 
 
 def _build_bundle(instance_dir, seed):
-    g, p, sd, MA, MB, split = load_instance_dir(instance_dir)
+    try:
+        g, p, sd, MA, MB, split = load_instance_dir(instance_dir)
+    except GraphFormatError as exc:
+        raise InputError("%s: %s" % (Path(instance_dir) / "graph.txt", exc)) from None
     b = derive_common_sets(g, sd, p, MA, MB)
     if split is None:
         third = Fraction(1, 3)
@@ -266,7 +286,11 @@ def main(argv=None) -> int:
     s.set_defaults(func=cmd_verify_witness)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print("structhunt: error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

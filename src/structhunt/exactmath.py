@@ -214,6 +214,18 @@ def floor_root(x, r: int) -> int:
     return lo
 
 
+def floor_val(x) -> int:
+    """floor(x) for a rational or a RootVal, exactly.
+
+    For a RootVal c * x**(1/r) this is floor_root(c**r * x, r); an integer
+    n then exceeds x exactly when n >= floor_val(x) + 1.
+    """
+    if isinstance(x, RootVal):
+        return floor_root(x.coef ** x.degree * x.radicand, x.degree)
+    x = frac(x)
+    return x.numerator // x.denominator
+
+
 def cmp_le(measured, bound) -> bool:
     """measured <= bound with mixed Fraction / RootVal operands."""
     if isinstance(bound, RootVal):

@@ -11,8 +11,19 @@ An empty spec raises ValueError, an empty or unknown name KeyError, and a
 non-string TypeError.  Each graph caches the edges of a composite spec and
 the adjacency of every spec under the spec string.
 
+Adjacency is built from the edges only for a named layer.  A composite
+spec's adjacency is composed per vertex from its named layers' adjacency,
+folded left to right: N_{A+B}(v) = N_A(v) | N_B(v) and N_{A-B}(v) =
+N_A(v) - N_B(v).  with_layer hands the new graph the parent's layers and
+their cached adjacency, except for the layer it replaces.
+
 Each edge is validated once, where it enters: the constructor checks all it
-is given, load_graph each edge line, and with_layer only the layer it adds.
+is given, load_graph each layer block, and with_layer only the layer it adds.
+load_graph parses each block of the canonical form that dump_graph writes in
+bulk, and checks ranges, self-loops and duplicates over the whole block.
+Any other text (comments, blank lines, other whitespace, signed ids), and
+any text the bulk checks reject, goes through the line scan, which accepts
+the same files and names the first offending line.
 
 Degree and edge-count conventions: deg(v, U) counts neighbours of v inside
 U; e(X) counts edges induced by X; e(X, Y) counts ordered pairs (x, y) with
@@ -24,6 +35,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 Edge = tuple  # normalized (u, v) with u < v
 VertexSet = frozenset
@@ -95,17 +108,23 @@ class LayeredGraph:
             found = self._folded[layer] = self._fold(layer)
         return found
 
-    def _fold(self, spec) -> frozenset:
+    def _terms(self, spec) -> list:
+        """[(op, name)] of a spec, every name a layer of this graph."""
         if not isinstance(spec, str):
             raise TypeError("not a layer spec: %r" % (spec,))
         tokens = re.split(r"([+-])", spec.replace(" ", ""))
         if tokens == [""]:
             raise ValueError("empty layer spec")
-        result = frozenset()
-        for op, name in zip(["+"] + tokens[1::2], tokens[::2]):
-            named = self.layers.get(name)
-            if named is None:
+        terms = list(zip(["+"] + tokens[1::2], tokens[::2]))
+        for _, name in terms:
+            if name not in self.layers:
                 raise KeyError("unknown layer %r" % (name,))
+        return terms
+
+    def _fold(self, spec) -> frozenset:
+        result = frozenset()
+        for op, name in self._terms(spec):
+            named = self.layers[name]
             result = result | named if op == "+" else result - named
         return result
 
@@ -115,17 +134,32 @@ class LayeredGraph:
         for u, v in new:
             if u < 0 or v >= self.n:
                 raise ValueError("edge %r out of range in layer %s" % ((u, v), name))
-        return LayeredGraph._validated(self.n, {**self.layers, name: new})
+        g = LayeredGraph._validated(self.n, {**self.layers, name: new})
+        g._adj_cache = {spec: adj for spec, adj in self._adj_cache.items()
+                        if spec in self.layers and spec != name}
+        return g
 
     def adj(self, layer="G"):
         """Adjacency as a tuple of frozensets, cached per spec string."""
         cached = self._adj_cache.get(layer)
         if cached is None:
-            nbrs = [set() for _ in range(self.n)]
-            for u, v in self.edges(layer):
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            cached = self._adj_cache[layer] = tuple(frozenset(s) for s in nbrs)
+            named = self.layers.get(layer)
+            if named is not None:
+                nbrs = [set() for _ in range(self.n)]
+                for u, v in named:
+                    nbrs[u].add(v)
+                    nbrs[v].add(u)
+                cached = tuple(frozenset(s) for s in nbrs)
+            else:
+                (_, first), *rest = self._terms(layer)
+                cached = self.adj(first)
+                for op, name in rest:
+                    part = self.adj(name)
+                    if op == "+":
+                        cached = tuple(a | b for a, b in zip(cached, part))
+                    else:
+                        cached = tuple(a - b for a, b in zip(cached, part))
+            self._adj_cache[layer] = cached
         return cached
 
     def vertices(self) -> frozenset:
@@ -172,10 +206,17 @@ class LayeredGraph:
         return sum(len(adj[x] & Ys) for x in Xs if 0 <= x < n)
 
     def edges_between(self, layer, X, Y) -> frozenset:
-        """Edges xy with x in X and y in Y; X and Y may overlap."""
+        """Edges xy with x in X and y in Y; X and Y may overlap.
+
+        Read off the smaller side's adjacency, as the condition is symmetric
+        in X and Y; vertices outside 0..n-1 have no edges.
+        """
         Xs, Ys = frozenset(X), frozenset(Y)
-        return frozenset(e for e in self.edges(layer)
-                         if (e[0] in Xs and e[1] in Ys) or (e[1] in Xs and e[0] in Ys))
+        if len(Ys) < len(Xs):
+            Xs, Ys = Ys, Xs
+        adj, n = self.adj(layer), self.n
+        return frozenset((x, y) if x < y else (y, x)
+                         for x in Xs if 0 <= x < n for y in adj[x] & Ys)
 
     def pair_counts(self, layer, X, Y):
         """(e(X), e(X, Y)) under the ordered-pair convention."""
@@ -214,6 +255,72 @@ class LayeredGraph:
 
 def load_graph(text: str) -> LayeredGraph:
     """Parse the layered edge-list format; errors name the offending line."""
+    loaded = _load_bulk(text)
+    if loaded is None:
+        loaded = _load_lines(text)
+    n, layers = loaded
+    if "G" not in layers:
+        layers["G"] = frozenset()
+    return LayeredGraph._validated(n, layers)
+
+
+_COUNT_LINE = re.compile(r"n ([0-9]{1,18})\n")
+_LAYER_LINE = re.compile(r"layer ([!-~]+)\n")
+
+
+def _load_bulk(text: str):
+    """(n, layers) of a valid text in canonical form, else None.
+
+    Canonical: "n <count>", then blocks of "layer <name>" (printable ASCII
+    name) and "u v" edge lines, every line ending in a newline, ids of
+    ASCII digits.  Within that form the line scan accepts exactly the texts
+    whose layers are declared once and whose blocks pass _edge_block.
+    """
+    m = _COUNT_LINE.match(text)
+    if m is None:
+        return None
+    n, pos, layers = int(m.group(1)), m.end(), {}
+    while pos < len(text):
+        m = _LAYER_LINE.match(text, pos)
+        if m is None or m.group(1) in layers:
+            return None
+        end = text.find("\nlayer ", m.end() - 1) + 1 or len(text)  # next header
+        edges = _edge_block(text[m.end():end], n)
+        if edges is None:
+            return None
+        layers[m.group(1)] = edges
+        pos = end
+    return n, layers
+
+
+def _edge_block(body: str, n: int):
+    """The edges of a block of "u v" lines, or None unless every line is
+    two runs of 1-18 ASCII digits joined by one space and ending in a
+    newline, and the edges are in range, loop-free and distinct."""
+    if not body:
+        return frozenset()
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    seps = np.flatnonzero((b == 32) | (b == 10))
+    if seps.size % 2 or seps.size == 0 or seps[-1] != b.size - 1:
+        return None
+    runs = np.diff(seps, prepend=-1) - 1  # digits before each separator;
+    # at most 18 of them keep every id inside int64
+    if ((b[seps[0::2]] != 32).any() or (b[seps[1::2]] != 10).any()
+            or runs.min() < 1 or runs.max() > 18
+            or np.count_nonzero((b < 48) | (b > 57)) != seps.size):
+        return None
+    uv = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    if (lo == hi).any() or hi.max() >= n:
+        return None
+    edges = frozenset(zip(lo.tolist(), hi.tolist()))
+    return edges if len(edges) == len(uv) else None
+
+
+def _load_lines(text: str):
+    """(n, layers) by a scan line by line; raises on the first bad line."""
     n = None
     layers = {}
     current = None
@@ -258,10 +365,7 @@ def load_graph(text: str) -> LayeredGraph:
         layers[current].add(e)
     if n is None:
         raise GraphFormatError(0, "empty input, no 'n' line")
-    if "G" not in layers:
-        layers["G"] = set()
-    return LayeredGraph._validated(
-        n, {name: frozenset(es) for name, es in layers.items()})
+    return n, {name: frozenset(es) for name, es in layers.items()}
 
 
 def dump_graph(g: LayeredGraph) -> str:

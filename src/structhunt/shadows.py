@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import frac
+from .exactmath import floor_val, frac
 from .graphcore import LayeredGraph
 
 
@@ -36,21 +36,14 @@ def shadow(g: LayeredGraph, layer, U, ell, exclude=frozenset()) -> frozenset:
 
     exclude removes vertices from the host graph (vertex deletion), used for
     shadows computed in G - H; edges touching excluded vertices are ignored.
-    The threshold may be a RootVal (e.g. sqrt(gamma) * k), compared exactly.
+    The threshold may be a RootVal (e.g. sqrt(gamma) * k), compared exactly:
+    an integer degree exceeds ell exactly when it reaches floor(ell) + 1.
     """
-    from .exactmath import RootVal
-
-    if not isinstance(ell, RootVal):
-        ell = frac(ell)
+    need = floor_val(ell) + 1
     adj = g.adj(layer)
     U = frozenset(U) - exclude
-    out = set()
-    for v in range(g.n):
-        if v in exclude:
-            continue
-        if len((adj[v] & U) - exclude) > ell:
-            out.add(v)
-    return frozenset(out)
+    return frozenset(v for v in range(g.n)
+                     if v not in exclude and len(adj[v] & U) >= need)
 
 
 def shadow_iter(g: LayeredGraph, q: ShadowQuery, exclude=frozenset()) -> frozenset:

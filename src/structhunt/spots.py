@@ -11,6 +11,7 @@ only) that is a genuine decision procedure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ class DenseSpot:
         self.F = frozenset(norm_edge(*e) for e in F)
         self.m = m
         self.gamma = frac(gamma)
+        self._degrees = Counter(v for e in self.F for v in e)
 
     def sides(self) -> frozenset:
         return frozenset({self.U, self.W})
@@ -51,7 +53,7 @@ class DenseSpot:
         return "DenseSpot(|U|=%d, |W|=%d, |F|=%d)" % (len(self.U), len(self.W), len(self.F))
 
     def degree(self, v) -> int:
-        return sum(1 for e in self.F if v in e)
+        return self._degrees[v]
 
     def absorbed_by(self, other: "DenseSpot") -> bool:
         """Is self contained in other as a subgraph (either orientation)?"""

@@ -29,6 +29,48 @@ class TestShadowCmd:
         assert capsys.readouterr().out.strip() == "0"
 
 
+class TestInputErrors:
+    """Bad input ends in one line on stderr and exit code 1."""
+
+    def _one_line_error(self, capsys, argv, *needles):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("structhunt: error: ")
+        for needle in needles:
+            assert needle in captured.err
+        return captured.err
+
+    def test_bad_graph_file(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "n 3\nlayer G\n0 1\n2 2\n")
+        self._one_line_error(capsys, ["shadow", "--graph", path, "--set", "0,1",
+                                      "--ell", "1"], path, "line 4: self-loop 2 2")
+
+    @pytest.mark.parametrize("spec", ["G_nope", "G+", "", "G++G"])
+    def test_bad_layer_spec(self, tmp_path, capsys, spec):
+        path = write_graph(tmp_path, K44)
+        for argv in (["shadow", "--graph", path, "--set", "0,1", "--ell", "1"],
+                     ["check-regular", "--graph", path, "-U", "0", "-W", "4",
+                      "--eps", "1/4"],
+                     ["find-spots", "--graph", path, "-m", "1", "--gamma", "1/2"],
+                     ["clean", "envelope", "--graph", path, "--sets", "0,1/4,5",
+                      "--k", "1"]):
+            self._one_line_error(capsys, argv + ["--layer", spec], repr(spec))
+
+    def test_bad_layers_entry(self, tmp_path, capsys):
+        path = write_graph(tmp_path, K44)
+        self._one_line_error(capsys, ["clean", "yellow", "--graph", path,
+                                      "--layers", "G,G_nope", "--sets", "0/4/5",
+                                      "--k", "1"], "'G_nope'")
+
+    def test_bad_graph_in_instance_dir(self, tmp_path, capsys):
+        (tmp_path / "graph.txt").write_text("n 2\nlayer G\n0 5\n")
+        self._one_line_error(capsys, ["hunt-config", str(tmp_path)],
+                             "graph.txt", "line 3: vertex id out of range")
+
+
 class TestSplitCmd:
     def test_deterministic_dump(self, tmp_path, capsys):
         path = write_graph(tmp_path, K44)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from structhunt.exactmath import (RootVal, frac, ge_with_pow_slack, le_frac_pow,
-                                  root4_val, sqrt_val)
+from structhunt.exactmath import (RootVal, floor_val, frac, ge_with_pow_slack,
+                                  le_frac_pow, root4_val, sqrt_val)
 
 
 class TestFrac:
@@ -83,3 +83,18 @@ class TestPowSlack:
         assert ge_with_pow_slack(0, 4, 100, 9, 10, slack_scale=Fraction(1, 2))
         # shortfall 40 vs 31.5 -> fail
         assert not ge_with_pow_slack(0, 40, 100, 9, 10, slack_scale=Fraction(1, 2))
+
+
+class TestFloorVal:
+    @given(st.integers(0, 60), st.integers(1, 12), st.integers(0, 99),
+           st.sampled_from([1, 2, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_root_between_floor_and_next(self, p, q, x, r):
+        val = RootVal(Fraction(p, q), x, r)
+        f = floor_val(val)
+        assert not val < f and val < f + 1
+
+    @pytest.mark.parametrize("x, f", [(Fraction(5, 2), 2), (3, 3), (Fraction(-1, 2), -1),
+                                      (Fraction(-4, 2), -2), ("7/3", 2)])
+    def test_rational(self, x, f):
+        assert floor_val(x) == f

@@ -5,11 +5,104 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from structhunt.graphcore import (GraphFormatError, LayeredGraph, dump_graph,
-                                  load_graph)
+from oracle_graphcore import edge_built_adj, load_graph_lines, scan_edges_between
+from structhunt.graphcore import (GraphFormatError, LayeredGraph, _load_bulk,
+                                  dump_graph, load_graph)
 from util import (brute_force_density, brute_force_e_ordered, complete_bipartite,
                   complete_graph, cycle_graph, graph_from_edges, path_graph,
                   random_graph)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    return random_graph(n, p, seed)
+
+
+LAYER_NAMES = ["G", "G_D", "G_nabla", "G_exp", "x+y", "#h"]
+MUTATIONS = [None, "self-loop", "duplicate", "reversed duplicate",
+             "out of range", "non-integer", "no n line", "layer twice",
+             "edge before layer", "extra fields", "negative id", "bad count",
+             "long id", "split edge line"]
+STYLES = [None, "comments", "blank lines", "tabs", "crlf", "plus sign",
+          "leading zeros", "no final newline", "padding"]
+
+
+@st.composite
+def layered_texts(draw):
+    """(text, canonical): a layered edge list, maybe restyled or broken;
+    canonical when it is valid and written the way dump_graph writes."""
+    n = draw(st.integers(0, 9))
+    names = draw(st.lists(st.sampled_from(LAYER_NAMES), unique=True, max_size=4))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lines = [["n", str(n)]]
+    for name in names:
+        lines.append(["layer", name])
+        if pairs:
+            for u, v in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)):
+                lines.append([str(u), str(v)] if draw(st.booleans()) else [str(v), str(u)])
+    edge_lines = [ln for ln in lines[1:] if ln[0] != "layer"]
+    at = draw(st.integers(min(2, len(lines)), len(lines)))  # after a header
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "self-loop":
+        lines.insert(at, ["1", "1"])
+    elif mutation in ("duplicate", "reversed duplicate") and edge_lines:
+        dup = draw(st.sampled_from(edge_lines))
+        lines.append(dup[::-1] if mutation == "reversed duplicate" else list(dup))
+    elif mutation == "out of range":
+        lines.insert(at, ["0", str(n + draw(st.integers(0, 2)))])
+    elif mutation == "non-integer":
+        lines.insert(at, [draw(st.sampled_from(["x", "1.5", "1e2", "0x1"])), "0"])
+    elif mutation == "no n line":
+        lines.pop(0)
+    elif mutation == "layer twice":
+        lines.insert(at, ["layer", draw(st.sampled_from(names or ["G"]))])
+    elif mutation == "edge before layer":
+        lines.insert(1, ["0", "1"])
+    elif mutation == "extra fields":
+        lines.insert(at, draw(st.sampled_from([["0", "1", "2"], ["0", "1", "0", "2"]])))
+    elif mutation == "negative id":
+        lines.insert(at, ["-1", "0"])
+    elif mutation == "bad count":
+        lines[0] = draw(st.sampled_from([["n", "-3"], ["n", "x"], ["n"], ["m", "3"]]))
+    elif mutation == "long id":
+        lines.insert(at, [draw(st.sampled_from(["0" * 19 + "1", str(2**64 + 1),
+                                                 str(2**63 + 1)])), "0"])
+    elif mutation == "split edge line":
+        lines[at:at] = draw(st.sampled_from([[["0 "], [" 1"]], [["0"], ["1"]]]))
+    else:
+        mutation = None
+    style = draw(st.sampled_from(STYLES)) if draw(st.booleans()) else None
+    sep, end, final = " ", "\n", "\n"
+    if style in ("comments", "blank lines"):
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         ["# note"] if style == "comments" else [])
+    elif style == "tabs":
+        sep = "\t"
+    elif style == "crlf":
+        end = final = "\r\n"
+    elif style in ("plus sign", "leading zeros"):
+        prefix = "+" if style == "plus sign" else "0"
+        lines = [[prefix + t if t.isdigit() else t for t in ln] for ln in lines]
+    elif style == "no final newline":
+        final = ""
+    elif style == "padding":
+        sep = "  "
+        lines = [[" "] + ln for ln in lines]
+    text = end.join(sep.join(ln) for ln in lines) + final
+    canonical = mutation is None and style in (None, "leading zeros")
+    return text, canonical
+
+
+def _load_outcome(loader, text):
+    try:
+        g = loader(text)
+    except GraphFormatError as exc:
+        return "error", str(exc), exc.lineno
+    return "graph", g.n, g.layers
 
 
 class TestLoadGraph:
@@ -48,8 +141,27 @@ class TestLoadGraph:
 
     def test_roundtrip(self):
         g = random_graph(12, 0.4, seed=5).with_layer("G_exp", [(0, 1), (2, 3)])
+        assert _load_bulk(dump_graph(g)) is not None  # the bulk path decides
         g2 = load_graph(dump_graph(g))
         assert g2.layers == g.layers
+
+    @given(layered_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_bulk_matches_line_scan(self, case):
+        text, canonical = case
+        assert _load_outcome(load_graph, text) == _load_outcome(load_graph_lines, text)
+        if canonical:
+            assert _load_bulk(text) is not None
+
+    @given(small_graphs(), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_dumped_graphs_load_in_bulk(self, g, seed):
+        rng = random.Random(seed)
+        es = sorted(g.edges("G"))
+        g = g.with_layer("G_D", [e for e in es if rng.random() < 0.5])
+        text = dump_graph(g)
+        assert _load_bulk(text) is not None
+        assert load_graph(text).layers == load_graph_lines(text).layers == g.layers
 
 
 class TestLayerSpec:
@@ -87,6 +199,33 @@ class TestLayerSpec:
         assert g.edges("G+G_D") is g.edges("G+G_D")
         assert g.adj("G-G_D") is g.adj("G-G_D")
         assert g.adj("G-G_D")[1] == frozenset({0})
+
+
+class TestAdjacency:
+    @given(small_graphs(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_composite_adj_matches_edge_built(self, g, seed):
+        rng = random.Random(seed)
+        es = sorted(g.edges("G"))
+        extra = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        for name in ("G_nabla", "G_D", "G_exp"):
+            g = g.with_layer(name, [e for e in es + extra if rng.random() < 0.3])
+        for spec in ("G-G_nabla", "G_D+G_nabla", "G_nabla+G_D-G_exp", "G + G_D"):
+            assert g.adj(spec) == edge_built_adj(g.n, g.edges(spec))
+
+    def test_with_layer_shares_adjacency(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2)], G_D=[(2, 3)], G_exp=[(0, 3)])
+        adj_G, adj_D, both = g.adj("G"), g.adj("G_D"), g.adj("G+G_D")
+        g2 = g.with_layer("G_D", [(0, 2)])
+        assert g2.adj("G") is adj_G
+        assert g2.adj("G_D") is not adj_D
+        assert g2.adj("G_D") == edge_built_adj(4, [(0, 2)])
+        assert g2.adj("G+G_D") is not both
+        assert g2.adj("G+G_D") == edge_built_adj(4, [(0, 1), (1, 2), (0, 2)])
+        g3 = g2.with_layer("G_nabla", [(1, 3)])
+        assert g3.adj("G") is adj_G and g3.adj("G_D") is g2.adj("G_D")
+        assert g3.adj("G_exp") == edge_built_adj(4, [(0, 3)])
+        assert g.adj("G_D") is adj_D  # the parent keeps its own
 
 
 class TestConstruction:
@@ -188,14 +327,6 @@ class TestDensity:
             g.density("G", frozenset({0, 1}), frozenset({1, 2}))
 
 
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=24))
-    seed = draw(st.integers(min_value=0, max_value=10**6))
-    p = draw(st.sampled_from([0.1, 0.3, 0.6]))
-    return random_graph(n, p, seed)
-
-
 def scan_e_ordered(edges, X, Y):
     """Reference: e(X, Y) by one pass over every edge of the layer."""
     return sum((u in X and v in Y) + (v in X and u in Y) for u, v in edges)
@@ -210,12 +341,13 @@ class TestInvariants:
                                    if rng.random() < 0.5])
         X = frozenset(v for v in range(g.n) if rng.random() < rng.random())
         Y = frozenset(v for v in range(g.n) if rng.random() < rng.random())
-        for spec in ("G", "G-G_exp", "G_exp+G"):
+        for spec in ("G", "G-G_exp", "G_exp+G", "G - G_exp + G_exp"):
             edges = g.edges(spec)
             for A, B in ((X, Y), (Y, X), (X, X), (X, X & Y), (X, frozenset()),
                          (frozenset(), Y)):
                 assert g.e_ordered(spec, A, B) == scan_e_ordered(edges, A, B)
                 assert g.e_induced(spec, A) == scan_e_ordered(edges, A, A) // 2
+                assert g.edges_between(spec, A, B) == scan_edges_between(edges, A, B)
             assert g.e_ordered(spec, list(X), iter(Y)) == scan_e_ordered(edges, X, Y)
 
     @given(small_graphs(), st.integers(0, 10**6))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_regularity import loop_regular_pair, oracle_regular_pair
+from oracle_regularity import (loop_regular_pair, oracle_regular_pair,
+                               sampled_regular_pair)
 from structhunt.regularity import (RegularizedGraph, RegularizedMatching, Sampled,
                                    _first_hit,
                                    check_m_cover, check_regular_pair,
@@ -71,6 +72,30 @@ class TestCheckRegularPair:
         assert cert.verdict == "sampled-regular"
         assert "non-exhaustive" in cert.note
 
+    @pytest.mark.parametrize("complete", [True, False])
+    @pytest.mark.parametrize("a, b", [(1, 1), (3, 5), (24, 30)])
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1),
+                                     Fraction(3, 2)])
+    @pytest.mark.parametrize("trials", [0, 40])
+    def test_sampled_constant_pair_matches_loop(self, complete, a, b, eps, trials):
+        # density 0 or 1 is decided without drawing; the certificate, or
+        # the error for eps > 1, is the draw loop's
+        A, B = frozenset(range(a)), frozenset(range(a, a + b))
+        g = complete_bipartite(A, B) if complete else graph_from_edges(a + b, [])
+        mode = Sampled(trials=trials, seed=5)
+        assert _outcome(lambda: check_regular_pair(g, "G", A, B, eps, mode)) == \
+            _outcome(lambda: sampled_regular_pair(g, "G", A, B, eps, mode))
+
+    @given(st.integers(0, 10**6), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_matches_loop(self, seed, a, b, p, eps):
+        g, A, B = bip(a, b, p, seed)
+        mode = Sampled(trials=30, seed=seed)
+        assert check_regular_pair(g, "G", A, B, eps, mode) == \
+            sampled_regular_pair(g, "G", A, B, eps, mode)
+
     def test_overlap_rejected(self):
         g = random_graph(6, 0.5, 0)
         with pytest.raises(ValueError):
@@ -89,6 +114,13 @@ class TestCheckRegularPair:
             assert cert.witness[0] == witness[0]
             assert cert.witness[1] == witness[1]
             assert cert.witness[2] == witness[2]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 def planted(a, b, ka, kb, noise, seed):

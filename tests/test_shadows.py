@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from structhunt.exactmath import RootVal, frac
 from structhunt.shadows import (ShadowQuery, maximal_cut, min_degree_subgraph,
                                 peel_bipartite, shadow, shadow_iter)
 from util import (complete_bipartite, complete_graph, graph_from_edges,
@@ -19,7 +20,41 @@ def brute_shadow(g, U, ell):
     return frozenset(out)
 
 
+def fraction_shadow(g, layer, U, ell, exclude=frozenset()):
+    """The shadow step comparing each degree with ell as a Fraction or a
+    RootVal, the reference for the integer threshold."""
+    if not isinstance(ell, RootVal):
+        ell = frac(ell)
+    adj = g.adj(layer)
+    U = frozenset(U) - exclude
+    out = set()
+    for v in range(g.n):
+        if v in exclude:
+            continue
+        if len((adj[v] & U) - exclude) > ell:
+            out.add(v)
+    return frozenset(out)
+
+
+# rational and root thresholds, several integer-valued: 6 = sqrt(36),
+# 2 = 16**(1/4), 1 = (1/2) * 16**(1/4)
+THRESHOLDS = [0, 2, Fraction(5, 2), Fraction(1, 3), Fraction(7, 7),
+              RootVal(3, 4, 2), RootVal(1, 36, 2), RootVal(1, 16, 4),
+              RootVal(Fraction(1, 2), 16, 4), RootVal(Fraction(3, 2), 2, 2),
+              RootVal(1, 5, 4), RootVal(Fraction(5, 2)), RootVal(0, 3, 2)]
+
+
 class TestShadow:
+    @given(st.integers(0, 10**6), st.integers(2, 18), st.sampled_from(THRESHOLDS),
+           st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_fraction_comparison(self, seed, n, ell, excluding):
+        g = random_graph(n, 0.5, seed)
+        rng = random.Random(seed)
+        U = frozenset(v for v in range(n) if rng.random() < 0.6)
+        exclude = frozenset(v for v in range(n) if excluding and rng.random() < 0.2)
+        assert shadow(g, "G", U, ell, exclude) == fraction_shadow(g, "G", U, ell, exclude)
+
     def test_star_leaves(self):
         g = complete_bipartite([0], [1, 2, 3])
         got = shadow_iter(g, ShadowQuery("G", frozenset({1, 2, 3}), Fraction(2), 1))

@@ -50,6 +50,17 @@ class TestIsDenseSpot:
     def test_k33(self):
         assert is_dense_spot(k_bipartite_spot(3, 3, 2, Fraction(1, 2))).ok
 
+    def test_degree_matches_edge_scan(self):
+        # degree(v) is a lookup; the reference counts the edges of F at v
+        for seed in range(20):
+            rng = random.Random(seed)
+            U, W = frozenset(range(6)), frozenset(range(6, 13))
+            F = [(w, u) if rng.random() < 0.5 else (u, w)
+                 for u in U for w in W if rng.random() < 0.4]
+            s = DenseSpot(U, W, F, 1, Fraction(1, 10))
+            for v in range(15):
+                assert s.degree(v) == sum(1 for e in s.F if v in e)
+
     def test_single_edge_strict_mindeg(self):
         s = DenseSpot({0}, {1}, [(0, 1)], 1, Fraction(1, 2))
         rep = is_dense_spot(s)

@@ -41,7 +41,6 @@ class TestInputErrors:
         assert captured.err.startswith("structhunt: error: ")
         for needle in needles:
             assert needle in captured.err
-        return captured.err
 
     def test_bad_graph_file(self, tmp_path, capsys):
         path = write_graph(tmp_path, "n 3\nlayer G\n0 1\n2 2\n")

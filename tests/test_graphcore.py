@@ -141,17 +141,25 @@ class TestLoadGraph:
 
     def test_roundtrip(self):
         g = random_graph(12, 0.4, seed=5).with_layer("G_exp", [(0, 1), (2, 3)])
-        assert _load_bulk(dump_graph(g)) is not None  # the bulk path decides
         g2 = load_graph(dump_graph(g))
         assert g2.layers == g.layers
 
     @given(layered_texts())
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_bulk_matches_line_scan(self, case):
         text, canonical = case
         assert _load_outcome(load_graph, text) == _load_outcome(load_graph_lines, text)
         if canonical:
             assert _load_bulk(text) is not None
+
+    @pytest.mark.parametrize("body", [
+        "0 1 0 2\n", "0\n1\n", "0 \n 1\n", "0 1\n\n", " 0 1\n", "0 1", "0  1\n",
+        "0 99999999999999999999\n", "0\t1\n", "0 1\r\n", "0 1\nlayer G\n",
+        "1 0\n0 1\n", "2 2\n", "0 3\n", "+0 1\n"])
+    def test_bulk_leaves_odd_blocks_to_line_scan(self, body):
+        text = "n 3\nlayer G\n" + body
+        assert _load_bulk(text) is None
+        assert _load_outcome(load_graph, text) == _load_outcome(load_graph_lines, text)
 
     @given(small_graphs(), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

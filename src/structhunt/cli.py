@@ -4,7 +4,9 @@ Exit codes for hunt-config / verify-witness: 0 = verified witness,
 2 = hypotheses unmet, 3 = out-of-regime (trace emitted).  All outputs are
 structured text; hunt-config writes into a run directory.  A malformed
 graph file or a layer spec naming no layer of the graph ends any command
-with one line on stderr and exit code 1.
+with one line on stderr and exit code 1, and so does a malformed params,
+decomposition, matching or split file of an instance directory (the
+message names the file and the line).
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from .cleaning import (clean_c_plus_black, clean_c_plus_yellow, clean_match,
 from .configurations import (ConfigParams, verify_configuration,
                              verify_preconfiguration, PRECONFIG_TAGS)
 from .exactmath import MissingParameter, RootVal
-from .fileio import (dump_split, dump_spot_line, load_instance_dir,
-                     parse_witness)
+from .fileio import (InstanceFormatError, dump_split, dump_spot_line,
+                     load_instance_dir, parse_witness)
 from .graphcore import (GraphFormatError, LayeredGraph, fmt_vertex_set,
                         load_graph, parse_vertex_set)
 from .lks import derive_common_sets
@@ -166,6 +168,8 @@ def _build_bundle(instance_dir, seed):
         g, p, sd, MA, MB, split = load_instance_dir(instance_dir)
     except GraphFormatError as exc:
         raise InputError("%s: %s" % (Path(instance_dir) / "graph.txt", exc)) from None
+    except InstanceFormatError as exc:
+        raise InputError(str(exc)) from None
     b = derive_common_sets(g, sd, p, MA, MB)
     if split is None:
         third = Fraction(1, 3)

@@ -13,10 +13,11 @@ thresholds, ties passing per "at most".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .exactmath import cmp_ge, cmp_le, frac
-from .graphcore import LayeredGraph
+from .graphcore import LayeredGraph, _vertices_where
 from .regularity import (RegularizedGraph, RegularizedMatching, Sampled,
                          check_m_cover, check_super_regular,
                          validate_regularized_graph,
@@ -84,7 +85,7 @@ def _mindeg_clause(rep, g, layer, name, X, T, bound):
     if not X:
         rep.add(name, True, note="vacuous: empty source")
         return
-    worst = min(g.deg(layer, v, frozenset(T)) for v in X)
+    worst = g.mindeg(layer, X, frozenset(T))
     rep.add(name, cmp_ge(worst, bound), measured=worst, needed=bound)
 
 
@@ -92,7 +93,7 @@ def _maxdeg_clause(rep, g, layer, name, X, T, bound, strict=False):
     if not X:
         rep.add(name, True, note="vacuous: empty source")
         return
-    worst = max(g.deg(layer, v, frozenset(T)) for v in X)
+    worst = g.maxdeg(layer, X, frozenset(T))
     ok = (not cmp_ge(worst, bound)) if strict else cmp_le(worst, bound)
     rep.add(name, ok, measured=worst, needed=bound)
 
@@ -111,7 +112,7 @@ def _large_nabla(b):
     """Vertices of G_nabla-degree at least (1 + 9 eta/10) k."""
     g, p = b.g, b.p
     thr = (1 + Fraction(9, 10) * p.eta) * p.k
-    return frozenset(v for v in range(g.n) if g.deg("G_nabla", v) >= thr)
+    return _vertices_where(g._degrees("G_nabla") >= math.ceil(thr))
 
 
 def _heart_membership_pool(b, split):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactmath import frac
-from .graphcore import LayeredGraph, _support, norm_edge
+from .graphcore import LayeredGraph, _support, _union_codes, norm_edge
 from .regularity import check_regular_pair
 from .report import Report
 from .spots import DenseCover, certify_nowhere_dense, check_avoiding, is_dense_spot
@@ -97,7 +97,7 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
     exp_support = _support(g, bd.exp_layer)
     if exp_edges:
         exp_graph = LayeredGraph(g.n, {"G": exp_edges})
-        mind = min(len(exp_graph.adj("G")[v]) for v in exp_support)
+        mind = exp_graph.mindeg("G", exp_support)
         nd_ok = None
         if g.n <= nd_cap or mode == "heuristic":
             try:
@@ -128,6 +128,7 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
             locate[v] = i
     ok3 = True
     note3 = ""
+    undecided = []  # pairs whose certificate is indeterminate
     reg_cluster_pairs = set()
     for u, v in reg_edges:
         if norm_edge(u, v) in exp_edges or u not in locate or v not in locate \
@@ -151,8 +152,15 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
             if cert.verdict == "exact-irregular":
                 ok3, note3 = False, "pair (C%d,C%d) irregular" % (i, j)
                 break
+            if cert.verdict == "indeterminate":
+                undecided.append((i, j, cert.note))
+    if ok3 and undecided:  # nothing failed, but not every pair was decided
+        i, j, why = undecided[0]
+        note3 = "pair (C%d,C%d) indeterminate: %s" % (i, j, why)
+        if len(undecided) > 1:
+            note3 += "; %d more undecided pairs" % (len(undecided) - 1)
     rep.add("3. G_reg respects clusters, pairs eps-regular of density >= gamma^2",
-            ok3, note=note3)
+            None if ok3 and undecided else ok3, note=note3)
 
     sizes = sorted({len(C) for C in bd.clusters})
     if bd.clusters:
@@ -186,9 +194,8 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
             break
         seen_edges |= s.F
     if spot_ok:
-        non_exp = LayeredGraph(g.n, {"G": g.edges("G") - exp_edges})
         for idx, s in enumerate(bd.spots):
-            if not non_exp.edges_between("G", s.U, s.W) <= seen_edges:
+            if not g.edges_between("G-" + bd.exp_layer, s.U, s.W) <= seen_edges:
                 spot_ok = False
                 note5 = "spot %d: G[U,W] not covered by the family" % idx
                 break
@@ -256,7 +263,7 @@ def validate_sparse(sd: SparseDecomposition, g: LayeredGraph, p: Params,
     if K_edges:
         kg = LayeredGraph(g.n, {"G": K_edges})
         rest = g.vertices() - H
-        maxd = max(len(kg.adj("G")[v]) for v in rest) if rest else 0
+        maxd = kg.maxdeg("G", rest)
         rep.check_le("1. maxdeg_K(V \\ H) <= Omega* k", maxd, p.omega_star * k)
     else:
         rep.add("1. maxdeg_K(V \\ H) <= Omega* k", True, note="K empty")
@@ -279,10 +286,10 @@ def captured_subgraph(sd: SparseDecomposition, g: LayeredGraph,
     E-incident means edges of G between E and E union the clusters.
     """
     E = sd.bd.E
-    captured = (g.edges(sd.bd.reg_layer) | g.edges(sd.bd.exp_layer)
-                | g.edges_between("G", sd.H, g.vertices())
-                | g.edges_between("G", E, E | sd.bd.cluster_union()))
-    return g.with_layer(layer_name, captured)
+    captured = _union_codes(g._codes(sd.bd.reg_layer), g._codes(sd.bd.exp_layer),
+                            g._codes_between("G", sd.H, g.vertices()),
+                            g._codes_between("G", E, E | sd.bd.cluster_union()))
+    return g._with_codes(layer_name, captured)
 
 
 @dataclass

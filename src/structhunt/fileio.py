@@ -14,10 +14,17 @@ An instance directory holds:
 Witness files: "config <tag>" then "field = value" lines; vertex sets as
 comma ids, families separated by ";", matchings as "pair|pair;..." with an
 inline parameter suffix, edges as "u-v" pairs.
+
+A malformed params, decomposition, matching or split file raises
+InstanceFormatError naming the line (line 0 for the file as a whole);
+load_instance_dir adds the file's path.  Decomposition ids are checked
+against the graph: H, E, clusters and spot sides and edges must be vertices
+0..n-1, and a spot edge "a-b" needs a != b.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,17 +39,73 @@ PARAM_NAMES = ("k", "Lambda", "gamma", "eps", "eps_prime", "nu", "rho", "eta",
                "pi", "alpha_hat", "tau", "d", "omega_star", "omega_sstar", "b")
 
 
+class InstanceFormatError(ValueError):
+    """A malformed instance file: the line (0 for the whole file), and the
+    file's path once load_instance_dir knows it."""
+
+    def __init__(self, lineno: int, message: str, path=None):
+        super().__init__(lineno, message, path)
+        self.lineno, self.message, self.path = lineno, message, path
+
+    def __str__(self):
+        where = "" if self.path is None else "%s: " % self.path
+        return "%sline %d: %s" % (where, self.lineno, self.message)
+
+
+def _content_lines(text: str):
+    """(line number, stripped line) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.strip()
+        if ln and not ln.startswith("#"):
+            yield lineno, ln
+
+
+@contextmanager
+def _at_line(lineno: int):
+    """Turn a ValueError raised for one line into an InstanceFormatError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InstanceFormatError(lineno, str(exc)) from None
+
+
+def _number(text: str, integer=False):
+    """An int or an exact rational; ValueError names the text."""
+    try:
+        return int(text) if integer else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("bad %s %r" % ("integer" if integer else "number", text)) from None
+
+
+def _ids(tokens, n=None) -> list:
+    """The vertex ids of the non-empty tokens; given n, each in 0..n-1."""
+    ids = [_number(t, integer=True) for t in tokens if t]
+    if n is not None:
+        _in_range(ids, n)
+    return ids
+
+
+def _in_range(ids, n: int) -> None:
+    """ValueError naming the first id outside 0..n-1."""
+    for v in ids:
+        if not 0 <= v < n:
+            raise ValueError("vertex id %d out of range" % v)
+
+
 def parse_params(text: str) -> Params:
     kw = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        name, value = ln.split(None, 1)
-        if name not in PARAM_NAMES:
-            raise ValueError("unknown parameter %r" % name)
-        kw[name] = int(value) if name == "k" else Fraction(value)
-    return Params(**kw)
+    for lineno, ln in _content_lines(text):
+        with _at_line(lineno):
+            name, *value = ln.split(None, 1)
+            if name not in PARAM_NAMES:
+                raise ValueError("unknown parameter %r" % name)
+            if not value:
+                raise ValueError("parameter %s without a value" % name)
+            kw[name] = _number(value[0], integer=name == "k")
+    if "k" not in kw:
+        raise InstanceFormatError(0, "missing parameter k")
+    with _at_line(0):
+        return Params(**kw)
 
 
 def dump_params(p: Params) -> str:
@@ -53,15 +116,30 @@ def dump_params(p: Params) -> str:
 
 
 def parse_spot_line(line: str, m=0, gamma=Fraction(1, 10**6)) -> DenseSpot:
-    body = line.split(":", 1)[1]
+    """A spot from "spot: U=<ids> W=<ids> F=<a-b,...>"; ValueError on a
+    malformed field, id or edge."""
     fields = {}
-    for part in body.split():
-        key, val = part.split("=", 1)
+    for part in line.split(":", 1)[1].split():
+        key, eq, val = part.partition("=")
+        if not eq:
+            raise ValueError("bad spot field %r, want key=value" % part)
         fields[key] = val
-    U = frozenset(int(x) for x in fields["U"].split(",") if x)
-    W = frozenset(int(x) for x in fields["W"].split(",") if x)
-    F = [tuple(int(v) for v in e.split("-")) for e in fields["F"].split(",") if e]
-    return DenseSpot(U, W, F, m, gamma)
+    for key in ("U", "W", "F"):
+        if key not in fields:
+            raise ValueError("spot line without %s=" % key)
+    F = []
+    for e in fields["F"].split(","):
+        if e:
+            a, _, b = e.partition("-")
+            try:
+                u, v = int(a), int(b)
+            except ValueError:
+                raise ValueError("bad spot edge %r, want a-b" % e) from None
+            if u == v:
+                raise ValueError("spot edge %r is a self-loop" % e)
+            F.append((u, v))
+    return DenseSpot(_ids(fields["U"].split(",")), _ids(fields["W"].split(",")),
+                     F, m, gamma)
 
 
 def dump_spot_line(s: DenseSpot) -> str:
@@ -78,24 +156,22 @@ def parse_decomposition(text: str, g: LayeredGraph, p: Params,
     clusters = []
     spots = []
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("spot:"):
-            spots.append(parse_spot_line(ln, p.gamma * p.k, p.gamma))
-            continue
-        if ln.startswith("section "):
-            section = ln.split()[1]
-            if section == "cluster":
-                clusters.append(set())
-            continue
-        if section in ("H", "E"):
-            (H if section == "H" else E).update(int(x) for x in ln.split())
-        elif section == "cluster":
-            clusters[-1].update(int(x) for x in ln.split())
-        else:
-            raise ValueError("line %d outside any section: %r" % (lineno, raw))
+    for lineno, ln in _content_lines(text):
+        with _at_line(lineno):
+            if ln.startswith("spot:"):
+                s = parse_spot_line(ln, p.gamma * p.k, p.gamma)
+                _in_range(s.vertices().union(*s.F), g.n)
+                spots.append(s)
+            elif ln.startswith("section "):
+                section = ln.split()[1]
+                if section == "cluster":
+                    clusters.append(set())
+            elif section in ("H", "E"):
+                (H if section == "H" else E).update(_ids(ln.split(), g.n))
+            elif section == "cluster":
+                clusters[-1].update(_ids(ln.split(), g.n))
+            else:
+                raise ValueError("outside any section: %r" % ln)
     bd = BoundedDecomposition([frozenset(c) for c in clusters],
                               DenseCover(spots), reg_layer, exp_layer,
                               frozenset(E), [g.vertices()])
@@ -116,31 +192,23 @@ def dump_decomposition(sd: SparseDecomposition) -> str:
 
 
 def parse_matching(text: str) -> RegularizedMatching:
-    eps = d = Fraction(1, 2)
-    ell = 1
-    layer = "G"
+    header = {"eps": Fraction(1, 2), "d": Fraction(1, 2), "ell": 1, "layer": "G"}
     pairs = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        head = ln.split(None, 1)
-        if head[0] in ("eps", "d", "ell"):
-            val = Fraction(head[1])
-            if head[0] == "eps":
-                eps = val
-            elif head[0] == "d":
-                d = val
-            else:
-                ell = val
-            continue
-        if head[0] == "layer":
-            layer = head[1]
-            continue
-        left, right = ln.split("|")
-        pairs.append((frozenset(int(x) for x in left.replace(",", " ").split()),
-                      frozenset(int(x) for x in right.replace(",", " ").split())))
-    return RegularizedMatching(pairs, eps, d, ell, layer)
+    for lineno, ln in _content_lines(text):
+        with _at_line(lineno):
+            head, *value = ln.split(None, 1)
+            if head in header:
+                if not value:
+                    raise ValueError("%s without a value" % head)
+                header[head] = value[0] if head == "layer" else _number(value[0])
+                continue
+            sides = ln.split("|")
+            if len(sides) != 2:
+                raise ValueError("want a header or a pair line 'ids | ids', got %r" % ln)
+            pairs.append(tuple(frozenset(_ids(side.replace(",", " ").split()))
+                               for side in sides))
+    return RegularizedMatching(pairs, header["eps"], header["d"], header["ell"],
+                               header["layer"])
 
 
 def dump_matching(m: RegularizedMatching) -> str:
@@ -154,20 +222,24 @@ def dump_matching(m: RegularizedMatching) -> str:
 def parse_split(text: str, target) -> Split:
     fractions = None
     assign = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if parts[0] == "fractions":
-            fractions = tuple(Fraction(x) for x in parts[1:])
-            continue
-        assign[int(parts[0])] = int(parts[1])
+    for lineno, ln in _content_lines(text):
+        with _at_line(lineno):
+            parts = ln.split()
+            if parts[0] == "fractions":
+                fractions = tuple(_number(x) for x in parts[1:])
+                continue
+            if len(parts) != 2:
+                raise ValueError("want 'v class', got %r" % ln)
+            v, c = _ids(parts)
+            assign[v] = (c, lineno)
     if fractions is None:
-        raise ValueError("split file missing 'fractions' header")
+        raise InstanceFormatError(0, "split file missing 'fractions' header")
     p = len(fractions)
     classes = [set() for _ in range(p)]
-    for v, c in assign.items():
+    for v, (c, lineno) in assign.items():
+        if not 0 <= c < p:
+            raise InstanceFormatError(lineno, "class %d of vertex %d, but %d fractions"
+                                      % (c, v, p))
         classes[c].add(v)
     return Split(frozenset(target), tuple(frozenset(c) for c in classes),
                  fractions, seed=0)
@@ -329,25 +401,30 @@ def dump_witness(w: ConfigurationWitness, cp=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parsed(file: Path, parse, *args):
+    """parse(text of file, *args); an InstanceFormatError names the file."""
+    try:
+        return parse(file.read_text(), *args)
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(exc.lineno, exc.message, file) from None
+
+
 def load_instance_dir(path) -> tuple:
     """Read (graph, params, sd, MA, MB, split-or-None) from a directory."""
     path = Path(path)
     g = load_graph((path / "graph.txt").read_text())
-    p = parse_params((path / "params.txt").read_text())
+    p = _parsed(path / "params.txt", parse_params)
     dec_file = path / "decomposition.txt"
-    sd = parse_decomposition(dec_file.read_text(), g, p) if dec_file.exists() \
+    sd = _parsed(dec_file, parse_decomposition, g, p) if dec_file.exists() \
         else SparseDecomposition(frozenset(), BoundedDecomposition(
             [], DenseCover([]), "G_reg", "G_exp", frozenset(), [g.vertices()]))
     for name in ("G_reg", "G_exp"):
         if not g.has_layer(name):
             g = g.with_layer(name, [])
-    ma_file = path / "matching_a.txt"
-    mb_file = path / "matching_b.txt"
-    MA = parse_matching(ma_file.read_text()) if ma_file.exists() else \
-        RegularizedMatching([], Fraction(1, 2), Fraction(0), 0)
-    MB = parse_matching(mb_file.read_text()) if mb_file.exists() else \
-        RegularizedMatching([], Fraction(1, 2), Fraction(0), 0)
+    MA, MB = (_parsed(f, parse_matching) if f.exists() else
+              RegularizedMatching([], Fraction(1, 2), Fraction(0), 0)
+              for f in (path / "matching_a.txt", path / "matching_b.txt"))
     split_file = path / "split.txt"
-    split = parse_split(split_file.read_text(), g.vertices() - sd.H) \
+    split = _parsed(split_file, parse_split, g.vertices() - sd.H) \
         if split_file.exists() else None
     return g, p, sd, MA, MB, split

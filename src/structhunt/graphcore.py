@@ -8,17 +8,34 @@ sets and no containment between layers is enforced.
 A layer spec is layer names joined by "+" (union) and "-" (difference), read
 left to right, spaces ignored: "G_nabla+G_D-G_exp" is (G_nabla | G_D) - G_exp.
 An empty spec raises ValueError, an empty or unknown name KeyError, and a
-non-string TypeError.  Each graph caches the edges of a composite spec and
-the adjacency of every spec under the spec string.
+non-string TypeError.
 
-Adjacency is built from the edges only for a named layer.  A composite
-spec's adjacency is composed per vertex from its named layers' adjacency,
-folded left to right: N_{A+B}(v) = N_A(v) | N_B(v) and N_{A-B}(v) =
-N_A(v) - N_B(v).  with_layer hands the new graph the parent's layers and
-their cached adjacency, except for the layer it replaces.
+Representation.  A layer is one sorted, duplicate-free int64 array of edge
+codes u*n + v with u < v (Python integers in an object array when n*n would
+overflow int64), so code order is the sorted order of the (u, v) tuples.  A
+composite spec folds its named layers' codes left to right by sorted union
+and np.setdiff1d, once per graph and spec string.  Everything else is built
+from the codes on first use and kept with them:
+  - the directed form: both orientations of every edge sorted by (source,
+    target), as rows and cols, and the degree of each vertex, from one sort.
+    deg(v), mindeg/maxdeg, e(X, Y), densities, edges_between,
+    neighbourhoods, V(layer) and the per-vertex counts behind shadows are
+    each one pass of numpy operations over it and membership masks of the
+    vertex sets, O(n + |E|) whatever the sizes of the sets;
+  - the frozenset of (u, v) tuples behind edges() and layers;
+  - the tuple of neighbour frozensets behind adj() and deg(v, U), which
+    the cleaning loops, peeling, maximal cuts and spot searches walk.
+with_layer hands the new graph the parent's layers, and with them these
+forms, except for the layer it replaces.
 
 Each edge is validated once, where it enters: the constructor checks all it
-is given, load_graph each layer block, and with_layer only the layer it adds.
+is given, load_graph each layer block, and with_layer only the layer it adds,
+each in bulk over integer arrays.  Input the bulk check rejects or cannot
+read as integer pairs goes through the scalar loop, which raises the error
+for the first offending edge, or accepts it; a non-integer id raises
+TypeError.  Callers in the package that build a layer from layers of the
+same graph pass codes (_codes, _codes_between, _union_codes, _with_codes),
+so those edges are neither re-checked nor turned into tuples.
 load_graph parses each block of the canonical form that dump_graph writes in
 bulk, and checks ranges, self-loops and duplicates over the whole block.
 Any other text (comments, blank lines, other whitespace, signed ids), and
@@ -27,19 +44,28 @@ the same files and names the first offending line.
 
 Degree and edge-count conventions: deg(v, U) counts neighbours of v inside
 U; e(X) counts edges induced by X; e(X, Y) counts ordered pairs (x, y) with
-xy an edge, so e(X, X) = 2 e(X); densities are exact Fractions.
+xy an edge, so e(X, X) = 2 e(X); densities are exact Fractions.  Ids outside
+0..n-1 have no edges where they stand in a vertex set; as the vertex of deg
+or a member of mindeg's or maxdeg's X they raise ValueError.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 Edge = tuple  # normalized (u, v) with u < v
 VertexSet = frozenset
+
+_INT64_CODES = 3037000499  # the largest n with n * n below 2^63
+_NO_CODES = np.zeros(0, dtype=np.int64)
+_NO_CODES.setflags(write=False)  # shared by every empty layer
 
 
 class GraphFormatError(ValueError):
@@ -52,13 +78,194 @@ class GraphFormatError(ValueError):
 
 def _support(g: LayeredGraph, layer) -> frozenset:
     """V(layer): the vertices with at least one edge in the layer."""
-    return frozenset(v for e in g.edges(layer) for v in e)
+    return _vertices_where(g._directed(layer).degrees > 0)
+
+
+def _vertices_where(mask) -> frozenset:
+    """The vertices v with mask[v] true."""
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def norm_edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError("self-loop at %d" % u)
     return (u, v) if u < v else (v, u)
+
+
+# -- edge codes ----------------------------------------------------------
+
+
+def _encode(u, v, n):
+    """Codes u*n + v of two id arrays."""
+    if n > _INT64_CODES:
+        u, v = u.astype(object), v.astype(object)
+    return u * n + v
+
+
+def _decode(codes, n):
+    """(u, v) int64 arrays of an array of codes."""
+    n = max(n, 1)
+    return ((codes // n).astype(np.int64, copy=False),
+            (codes % n).astype(np.int64, copy=False))
+
+
+def _distinct(codes):
+    """A sorted code array without its repeats."""
+    keep = np.ones(codes.size, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def _union_codes(*code_arrays):
+    """Sorted codes of the union of edge sets given as code arrays (by a
+    sort: numpy's hash-based unique is many times slower on these)."""
+    return _distinct(np.sort(np.concatenate((_NO_CODES,) + code_arrays)))
+
+
+def _edge_tuples(codes, n) -> frozenset:
+    u, v = _decode(codes, n)
+    return frozenset(zip(u.tolist(), v.tolist()))
+
+
+def _pairs(edges):
+    """(u, v) int64 arrays of a sized collection of integer pairs.  Raises
+    ValueError unless every item has length 2, TypeError on a non-integer
+    id and OverflowError on one beyond int64."""
+    if set(map(len, edges)) - {2}:
+        raise ValueError("not a collection of pairs")
+    flat = np.frombuffer(array("q", chain.from_iterable(edges)), dtype=np.int64)
+    return flat[0::2], flat[1::2]
+
+
+def _bulk_codes(edges, n: int):
+    """Sorted codes, repeats kept, of edges that are integer pairs of
+    distinct vertices 0..n-1; None for any other input."""
+    try:
+        u, v = _pairs(edges)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if not ((u >= 0) & (u < n) & (v >= 0) & (v < n) & (u != v)).all():
+        return None
+    return np.sort(_encode(np.minimum(u, v), np.maximum(u, v), n))
+
+
+def _sized(edges):
+    """The edges as a collection that can be read twice."""
+    return edges if isinstance(edges, (list, tuple, set, frozenset)) else list(edges)
+
+
+def _codes_of(pairs, n):
+    """Sorted codes of a set of valid normalised pairs."""
+    u, v = _pairs(pairs)
+    return np.sort(_encode(u, v, n))
+
+
+def _constructor_codes(n: int, name, edges):
+    """Sorted codes of one layer given to the constructor, checked in bulk;
+    anything the bulk check rejects is checked again by the scalar loop."""
+    edges = _sized(edges)
+    codes = _bulk_codes(edges, n)
+    if codes is not None and not (codes[1:] == codes[:-1]).any():
+        return codes
+    seen = set()
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge %r out of range in layer %s" % (e, name))
+        ne = norm_edge(u, v)
+        if ne in seen:
+            raise ValueError("duplicate edge %r in layer %s" % (e, name))
+        seen.add(ne)
+    return _codes_of(seen, n)
+
+
+class _Directed:
+    """A layer's edges as arrays: its own ends u < v in code order, both
+    orientations sorted by (source, target) as rows and cols, and each
+    vertex's degree, as an array and as a list."""
+
+    __slots__ = ("u", "v", "rows", "cols", "degrees", "degree_list")
+
+    def __init__(self, codes, n: int):
+        self.u, self.v = _decode(codes, n)
+        both = np.sort(_encode(np.concatenate([self.u, self.v]),
+                               np.concatenate([self.v, self.u]), n))
+        self.rows, self.cols = _decode(both, n)
+        self.degrees = np.bincount(self.rows, minlength=n)
+        self.degrees.setflags(write=False)  # shared by graphs and callers
+        self.degree_list = self.degrees.tolist()
+
+
+class _Layer:
+    """One edge set as its codes, with the forms built from them on first
+    use; graphs that share the layer share the forms."""
+
+    __slots__ = ("n", "codes", "_edges", "_directed", "_adj")
+
+    def __init__(self, n: int, codes):
+        self.n, self.codes = n, codes
+        self._edges = self._directed = self._adj = None
+
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            self._edges = _edge_tuples(self.codes, self.n)
+        return self._edges
+
+    def directed(self) -> _Directed:
+        if self._directed is None:
+            self._directed = _Directed(self.codes, self.n)
+        return self._directed
+
+    def adj(self) -> tuple:
+        if self._adj is None:
+            d = self.directed()
+            cols, ends = d.cols.tolist(), np.cumsum(d.degrees).tolist()
+            self._adj = tuple(frozenset(cols[a:b])
+                              for a, b in zip([0] + ends, ends))
+        return self._adj
+
+
+class _EdgeSets(Mapping):
+    """Layer name -> frozenset of edges, each built on first access."""
+
+    def __init__(self, layers: dict):
+        self._layers = layers
+
+    def __getitem__(self, name):
+        return self._layers[name].edges()
+
+    def __contains__(self, name):
+        return name in self._layers
+
+    def __iter__(self):
+        return iter(self._layers)
+
+    def __len__(self):
+        return len(self._layers)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _id_array(X) -> np.ndarray:
+    """The members of X as an int64 array, in iteration order."""
+    return np.fromiter(X, dtype=np.int64)
+
+
+def _members(X, n: int) -> np.ndarray:
+    """The members of X that are vertices 0..n-1, as an int64 array."""
+    try:
+        a = _id_array(X)
+    except OverflowError:  # an id beyond int64 is no vertex
+        a = _id_array(v for v in X if 0 <= v < n)
+    return a[(a >= 0) & (a < n)]
+
+
+def _mask(X, n: int) -> np.ndarray:
+    """Membership of 0..n-1 in X, as a boolean array."""
+    m = np.zeros(n, dtype=bool)
+    m[_members(X, n)] = True
+    return m
 
 
 class LayeredGraph:
@@ -69,23 +276,14 @@ class LayeredGraph:
             raise ValueError("negative vertex count")
         if "G" not in layers:
             raise ValueError('base layer "G" missing')
-        norm_layers = {}
-        for name, edges in layers.items():
-            seen = set()
-            for e in edges:
-                u, v = e
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError("edge %r out of range in layer %s" % (e, name))
-                ne = norm_edge(u, v)
-                if ne in seen:
-                    raise ValueError("duplicate edge %r in layer %s" % (e, name))
-                seen.add(ne)
-            norm_layers[name] = frozenset(seen)
-        self._assign(n, norm_layers)
+        self._assign(n, {name: _Layer(n, _constructor_codes(n, name, edges))
+                         for name, edges in layers.items()})
 
     def _assign(self, n: int, layers: dict) -> None:
-        """Set the fields; layers maps names to frozensets of valid (u, v), u < v."""
-        self.n, self.layers, self._folded, self._adj_cache = n, layers, {}, {}
+        """Set the fields; layers maps names to _Layer objects.  _adj maps
+        spec strings to adjacency already asked for, so the hot loops over
+        deg(v, U) find it with one dictionary lookup."""
+        self.n, self._layers, self._folded, self._adj = n, layers, {}, {}
 
     @classmethod
     def _validated(cls, n: int, layers: dict) -> "LayeredGraph":
@@ -96,17 +294,34 @@ class LayeredGraph:
 
     # -- layer specs -----------------------------------------------------
 
+    @property
+    def layers(self) -> Mapping:
+        """Layer name -> frozenset of its edges (u, v), u < v."""
+        return _EdgeSets(self._layers)
+
     def has_layer(self, name: str) -> bool:
-        return name in self.layers
+        return name in self._layers
+
+    def _layer(self, spec) -> _Layer:
+        """The named layer, or the fold of a composite spec (cached)."""
+        found = self._layers.get(spec)
+        if found is None:
+            found = self._folded.get(spec)
+        if found is None:
+            found = self._folded[spec] = self._fold(spec)
+        return found
 
     def edges(self, layer="G") -> frozenset:
         """Edge set of a layer spec (grammar in the module docstring)."""
-        found = self.layers.get(layer)
-        if found is None:
-            found = self._folded.get(layer)
-        if found is None:
-            found = self._folded[layer] = self._fold(layer)
-        return found
+        return self._layer(layer).edges()
+
+    def _codes(self, layer="G"):
+        """Sorted edge codes u*n + v of a layer spec."""
+        return self._layer(layer).codes
+
+    def _directed(self, layer="G") -> _Directed:
+        """Directed form of a layer spec."""
+        return self._layer(layer).directed()
 
     def _terms(self, spec) -> list:
         """[(op, name)] of a spec, every name a layer of this graph."""
@@ -117,50 +332,46 @@ class LayeredGraph:
             raise ValueError("empty layer spec")
         terms = list(zip(["+"] + tokens[1::2], tokens[::2]))
         for _, name in terms:
-            if name not in self.layers:
+            if name not in self._layers:
                 raise KeyError("unknown layer %r" % (name,))
         return terms
 
-    def _fold(self, spec) -> frozenset:
-        result = frozenset()
-        for op, name in self._terms(spec):
-            named = self.layers[name]
-            result = result | named if op == "+" else result - named
-        return result
+    def _fold(self, spec) -> _Layer:
+        (_, first), *rest = self._terms(spec)
+        if not rest:
+            return self._layers[first]
+        codes = self._layers[first].codes
+        for op, name in rest:
+            named = self._layers[name].codes
+            codes = (_union_codes(codes, named) if op == "+"
+                     else np.setdiff1d(codes, named, assume_unique=True))
+        return _Layer(self.n, codes)
 
     def with_layer(self, name: str, edges: Iterable) -> "LayeredGraph":
         """New graph with one extra (or replaced) layer; duplicate edges merge."""
-        new = frozenset(norm_edge(*e) for e in edges)
-        for u, v in new:
-            if u < 0 or v >= self.n:
-                raise ValueError("edge %r out of range in layer %s" % ((u, v), name))
-        g = LayeredGraph._validated(self.n, {**self.layers, name: new})
-        g._adj_cache = {spec: adj for spec, adj in self._adj_cache.items()
-                        if spec in self.layers and spec != name}
-        return g
+        edges = _sized(edges)
+        codes = _bulk_codes(edges, self.n)
+        if codes is not None:
+            codes = _distinct(codes)
+        else:
+            new = frozenset(norm_edge(*e) for e in edges)
+            for u, v in new:
+                if u < 0 or v >= self.n:
+                    raise ValueError("edge %r out of range in layer %s" % ((u, v), name))
+            codes = _codes_of(new, self.n)
+        return self._with_codes(name, codes)
+
+    def _with_codes(self, name: str, codes) -> "LayeredGraph":
+        """with_layer for sorted, distinct codes of valid edges."""
+        return LayeredGraph._validated(
+            self.n, {**self._layers, name: _Layer(self.n, codes)})
 
     def adj(self, layer="G"):
         """Adjacency as a tuple of frozensets, cached per spec string."""
-        cached = self._adj_cache.get(layer)
-        if cached is None:
-            named = self.layers.get(layer)
-            if named is not None:
-                nbrs = [set() for _ in range(self.n)]
-                for u, v in named:
-                    nbrs[u].add(v)
-                    nbrs[v].add(u)
-                cached = tuple(frozenset(s) for s in nbrs)
-            else:
-                (_, first), *rest = self._terms(layer)
-                cached = self.adj(first)
-                for op, name in rest:
-                    part = self.adj(name)
-                    if op == "+":
-                        cached = tuple(a | b for a, b in zip(cached, part))
-                    else:
-                        cached = tuple(a - b for a, b in zip(cached, part))
-            self._adj_cache[layer] = cached
-        return cached
+        found = self._adj.get(layer)
+        if found is None:
+            found = self._adj[layer] = self._layer(layer).adj()
+        return found
 
     def vertices(self) -> frozenset:
         return frozenset(range(self.n))
@@ -171,22 +382,47 @@ class LayeredGraph:
         """Number of neighbours of v inside U (all vertices if U is None)."""
         if not 0 <= v < self.n:
             raise ValueError("vertex %d out of range" % v)
-        nbrs = self.adj(layer)[v]
         if U is None:
-            return len(nbrs)
-        return len(nbrs & U)
+            return self._directed(layer).degree_list[v]
+        nbrs = self._adj.get(layer)
+        if nbrs is None:
+            nbrs = self.adj(layer)
+        return len(nbrs[v] & U)
+
+    def _degrees(self, layer, U=None):
+        """deg(v, U) of every vertex v, as an int64 array (read-only when
+        U is None)."""
+        d = self._directed(layer)
+        if U is None:
+            return d.degrees
+        return np.bincount(d.rows[_mask(U, self.n)[d.cols]], minlength=self.n)
+
+    def _degrees_of(self, layer, X, Y):
+        """deg(v, Y) for the members v of a non-empty X, in its order; an
+        id out of range raises deg's ValueError, the first one first."""
+        try:
+            xs = _id_array(X)
+        except OverflowError:  # an id beyond int64: deg raises on the first bad one
+            return np.array([self.deg(layer, v, Y) for v in X])
+        bad = (xs < 0) | (xs >= self.n)
+        if bad[0]:
+            raise ValueError("vertex %d out of range" % xs[0])
+        self._layer(layer)  # a bad spec raises before a later bad vertex
+        if bad.any():
+            raise ValueError("vertex %d out of range" % xs[bad.argmax()])
+        return self._degrees(layer, Y)[xs]
 
     def mindeg(self, layer, X, Y=None):
         """min over v in X of deg(v, Y); None (vacuous) for empty X."""
         if not X:
             return None
-        return min(self.deg(layer, v, Y) for v in X)
+        return int(self._degrees_of(layer, X, Y).min())
 
     def maxdeg(self, layer, X, Y=None) -> int:
         """max over v in X of deg(v, Y); 0 for empty X."""
         if not X:
             return 0
-        return max(self.deg(layer, v, Y) for v in X)
+        return int(self._degrees_of(layer, X, Y).max())
 
     def e_induced(self, layer, X) -> int:
         """e(X): number of edges with both ends in X."""
@@ -194,29 +430,23 @@ class LayeredGraph:
         return self.e_ordered(layer, Xs, Xs) // 2
 
     def e_ordered(self, layer, X, Y) -> int:
-        """e(X, Y): ordered pairs (x, y), xy an edge; X and Y may overlap.
-
-        Summed over the smaller side's adjacency, as e(X, Y) = e(Y, X);
-        vertices outside 0..n-1 have no edges.
-        """
+        """e(X, Y): ordered pairs (x, y), xy an edge; X and Y may overlap."""
         Xs, Ys = frozenset(X), frozenset(Y)
-        if len(Ys) < len(Xs):
-            Xs, Ys = Ys, Xs
-        adj, n = self.adj(layer), self.n
-        return sum(len(adj[x] & Ys) for x in Xs if 0 <= x < n)
+        d = self._directed(layer)
+        return int(np.count_nonzero(_mask(Xs, self.n)[d.rows]
+                                    & _mask(Ys, self.n)[d.cols]))
+
+    def _codes_between(self, layer, X, Y):
+        """Sorted codes of the edges xy with x in X and y in Y."""
+        Xs, Ys = frozenset(X), frozenset(Y)
+        found = self._layer(layer)
+        d = found.directed()
+        mX, mY = _mask(Xs, self.n), _mask(Ys, self.n)
+        return found.codes[(mX[d.u] & mY[d.v]) | (mY[d.u] & mX[d.v])]
 
     def edges_between(self, layer, X, Y) -> frozenset:
-        """Edges xy with x in X and y in Y; X and Y may overlap.
-
-        Read off the smaller side's adjacency, as the condition is symmetric
-        in X and Y; vertices outside 0..n-1 have no edges.
-        """
-        Xs, Ys = frozenset(X), frozenset(Y)
-        if len(Ys) < len(Xs):
-            Xs, Ys = Ys, Xs
-        adj, n = self.adj(layer), self.n
-        return frozenset((x, y) if x < y else (y, x)
-                         for x in Xs if 0 <= x < n for y in adj[x] & Ys)
+        """Edges xy with x in X and y in Y; X and Y may overlap."""
+        return _edge_tuples(self._codes_between(layer, X, Y), self.n)
 
     def pair_counts(self, layer, X, Y):
         """(e(X), e(X, Y)) under the ordered-pair convention."""
@@ -233,14 +463,14 @@ class LayeredGraph:
 
     def neighbourhood(self, layer, X) -> frozenset:
         """N(X): union of neighbourhoods of vertices of X."""
-        adj = self.adj(layer)
-        out = set()
-        for v in X:
-            out |= adj[v]
-        return frozenset(out)
+        d = self._directed(layer)
+        inside = np.zeros(self.n, dtype=bool)
+        inside[d.cols[_mask(X, self.n)[d.rows]]] = True
+        return _vertices_where(inside)
 
     def __repr__(self):
-        sizes = ", ".join("%s:%d" % (k, len(v)) for k, v in sorted(self.layers.items()))
+        sizes = ", ".join("%s:%d" % (k, len(v.codes))
+                          for k, v in sorted(self._layers.items()))
         return "LayeredGraph(n=%d, %s)" % (self.n, sizes)
 
 
@@ -259,9 +489,9 @@ def load_graph(text: str) -> LayeredGraph:
     if loaded is None:
         loaded = _load_lines(text)
     n, layers = loaded
-    if "G" not in layers:
-        layers["G"] = frozenset()
-    return LayeredGraph._validated(n, layers)
+    layers.setdefault("G", _NO_CODES)
+    return LayeredGraph._validated(
+        n, {name: _Layer(n, codes) for name, codes in layers.items()})
 
 
 _COUNT_LINE = re.compile(r"n ([0-9]{1,18})\n")
@@ -269,7 +499,7 @@ _LAYER_LINE = re.compile(r"layer ([!-~]+)\n")
 
 
 def _load_bulk(text: str):
-    """(n, layers) of a valid text in canonical form, else None.
+    """(n, {name: codes}) of a valid text in canonical form, else None.
 
     Canonical: "n <count>", then blocks of "layer <name>" (printable ASCII
     name) and "u v" edge lines, every line ending in a newline, ids of
@@ -285,20 +515,20 @@ def _load_bulk(text: str):
         if m is None or m.group(1) in layers:
             return None
         end = text.find("\nlayer ", m.end() - 1) + 1 or len(text)  # next header
-        edges = _edge_block(text[m.end():end], n)
-        if edges is None:
+        codes = _edge_block(text[m.end():end], n)
+        if codes is None:
             return None
-        layers[m.group(1)] = edges
+        layers[m.group(1)] = codes
         pos = end
     return n, layers
 
 
 def _edge_block(body: str, n: int):
-    """The edges of a block of "u v" lines, or None unless every line is
-    two runs of 1-18 ASCII digits joined by one space and ending in a
+    """The sorted codes of a block of "u v" lines, or None unless every line
+    is two runs of 1-18 ASCII digits joined by one space and ending in a
     newline, and the edges are in range, loop-free and distinct."""
     if not body:
-        return frozenset()
+        return _NO_CODES
     if not body.isascii():
         return None
     b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
@@ -315,12 +545,12 @@ def _edge_block(body: str, n: int):
     lo, hi = uv.min(axis=1), uv.max(axis=1)
     if (lo == hi).any() or hi.max() >= n:
         return None
-    edges = frozenset(zip(lo.tolist(), hi.tolist()))
-    return edges if len(edges) == len(uv) else None
+    codes = np.sort(_encode(lo, hi, n))
+    return None if (codes[1:] == codes[:-1]).any() else codes
 
 
 def _load_lines(text: str):
-    """(n, layers) by a scan line by line; raises on the first bad line."""
+    """(n, {name: codes}) by a scan line by line; raises on the first bad line."""
     n = None
     layers = {}
     current = None
@@ -365,20 +595,21 @@ def _load_lines(text: str):
         layers[current].add(e)
     if n is None:
         raise GraphFormatError(0, "empty input, no 'n' line")
-    return n, {name: frozenset(es) for name, es in layers.items()}
+    return n, {name: _codes_of(es, n) for name, es in layers.items()}
 
 
 def dump_graph(g: LayeredGraph) -> str:
-    """Inverse of load_graph (layers and edges in sorted order)."""
+    """Inverse of load_graph (layers and edges in sorted order, which is
+    code order)."""
     lines = ["n %d" % g.n]
-    names = sorted(g.layers)
+    names = sorted(g._layers)
     if "G" in names:  # base layer first
         names.remove("G")
         names.insert(0, "G")
     for name in names:
         lines.append("layer %s" % name)
-        for u, v in sorted(g.layers[name]):
-            lines.append("%d %d" % (u, v))
+        u, v = _decode(g._codes(name), g.n)
+        lines.extend(map("%d %d".__mod__, zip(u.tolist(), v.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -11,13 +11,14 @@ identical bundle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .decomposition import Params, SparseDecomposition, captured_subgraph
 from .exactmath import frac, sqrt_val
-from .graphcore import LayeredGraph, _support
+from .graphcore import LayeredGraph, _support, _vertices_where
 from .regularity import RegularizedMatching, check_m_cover
 from .report import Report
 from .shadows import shadow
@@ -38,22 +39,22 @@ class LKSClassification:
 def classify_vertices(g: LayeredGraph, k, eta) -> LKSClassification:
     """Split V by the (1 + eta) k degree threshold and test class membership."""
     k, eta = frac(k), frac(eta)
-    thr = (1 + eta) * k
-    L = frozenset(v for v in range(g.n) if g.deg("G", v) >= thr)
+    form = g._directed("G")
+    deg, src, dst = form.degrees, form.rows, form.cols
+    ceil_2eta = math.ceil((1 + 2 * eta) * k)
+    ceil_eta = math.ceil((1 + eta) * k)
+    in_L = deg >= ceil_eta  # deg >= (1 + eta) k
+    L = _vertices_where(in_L)
     S = g.vertices() - L
     is_lks = len(L) >= (Fraction(1, 2) + eta) * g.n
 
     rep = Report("small-class clauses")
-    ceil_2eta = -((-(1 + 2 * eta) * k).__floor__())  # ceil((1+2eta)k)
-    ceil_eta = -((-(1 + eta) * k).__floor__())
-    adj = g.adj("G")
-    ok1 = all(g.deg("G", u) <= ceil_2eta
-              for v in range(g.n) if g.deg("G", v) > ceil_2eta
-              for u in adj[v])
+    high = deg > ceil_2eta
+    ok1 = not (high[src] & high[dst]).any()
     rep.add("1. neighbours of deg > ceil((1+2eta)k) have deg <= that", ok1)
-    ok2 = all(g.deg("G", u) == ceil_eta for v in S for u in adj[v])
+    ok2 = not (~in_L[src] & (deg[dst] != ceil_eta)).any()
     rep.add("2. neighbours of S-vertices have degree exactly ceil((1+eta)k)", ok2)
-    e_total = len(g.edges("G"))
+    e_total = len(g._codes("G"))
     rep.check_le("3. e(G) <= k n", e_total, k * g.n)
     return LKSClassification(L, S, is_lks, rep)
 
@@ -140,7 +141,7 @@ def compute_XABC(g: LayeredGraph, L, S, exp_support, E, MA: RegularizedMatching,
     vmab = MA.vertices() | MB.vertices()
     excluded = exp_support | E | vmab
     hat_target = S - excluded
-    deg_hat = {v: g.deg("G", v, hat_target) for v in range(g.n)}
+    deg_hat = dict(enumerate(g._degrees("G", hat_target).tolist()))
     vmb = MB.vertices()
     XA = L - vmb
     half = (1 + eta) * k / 2
@@ -171,8 +172,7 @@ def derive_common_sets(g: LayeredGraph, sd: SparseDecomposition, p: Params,
                                                MA, MB, k, eta)
     b.V_plus = g.vertices() - (b.S0 - vmab)
     thr_nabla = (1 + Fraction(9, 10) * eta) * k
-    L_nabla = frozenset(v for v in range(g.n)
-                        if g.deg("G_nabla", v) >= thr_nabla)
+    L_nabla = _vertices_where(g._degrees("G_nabla") >= math.ceil(thr_nabla))
     b.L_sharp = b.L - L_nabla
     b.V_good = b.V_plus - (H | b.L_sharp)
 

@@ -17,16 +17,19 @@ pinned to lowest ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .cleaning import (clean_c_plus_black, clean_c_plus_yellow, clean_match,
                        clean_yellow, envelope)
-from .configurations import (ConfigParams, ConfigurationWitness,
+from .configurations import (ConfigParams, ConfigurationWitness, _large_nabla,
                              verify_configuration)
 from .exactmath import frac, root4_val, sqrt_val
-from .graphcore import LayeredGraph, fmt_vertex_set
+from .graphcore import LayeredGraph, _union_codes, _vertices_where, fmt_vertex_set
 from .lks import CommonSettingBundle
 from .regularity import RegularizedMatching, Sampled, check_regular_pair
 from .report import Report
@@ -135,7 +138,7 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
     n = g.n
     eta_t = eta**13 / (Fraction(10**28) * p.omega_star**3)
 
-    N_up = frozenset(v for v in range(n) if g.deg("G_nabla", v, b.H) >= k)
+    N_up = _vertices_where(g._degrees("G_nabla", b.H) >= math.ceil(k))
     N_down = g.neighbourhood("G_nabla", b.H) - N_up
     _record(out, "N_up", N_up)
     _record(out, "N_down", N_down)
@@ -150,17 +153,17 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
                measured=len(b.H), needed=len(N_up),
                note="failure contradicts the edge budget in regime")
         far = N_up - b.H  # H is independent in regime; enforce bipartiteness
-        helper = LayeredGraph(n, {"G": g.edges_between("G_nabla", b.H, far)})
-        core = min_degree_subgraph(helper, "G", b.H | far, Fraction(k, 2))
+        gw = g._with_codes("_huge_D1", g._codes_between("G_nabla", b.H, far))
+        core = min_degree_subgraph(gw, "_huge_D1", b.H | far, Fraction(k, 2))
         w = ConfigurationWitness("D1", {"A": core & b.H, "B": core & far,
-                                        "F": helper.edges_between("G", core, core)})
+                                        "F": gw.edges_between("_huge_D1", core, core)})
         return _finish(out, w, ConfigParams(), b, None)
 
     # Case B: envelope toward the club preconfiguration
     L = b.L
     psi = eta_t / 100
     Hp, Lp, Lpp, env_rep = envelope(g, "G_nabla", b.H, L - b.H,
-                                    L - _large_nabla_set(b), psi,
+                                    L - _large_nabla(b), psi,
                                     p.omega_star, p.omega_sstar, k)
     tr.add("envelope hypotheses", env_rep.hypotheses.ok)
     _record(out, "H_prime", Hp)
@@ -206,9 +209,10 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
     oss4 = sqrt_val(p.omega_sstar) / 4
 
     if best == 0:  # i=1 -> D2 via the exp-chain cleaning
-        layer_edges = (g.edges("G_nabla") & g.edges("G_exp")) | \
-            g.edges_between("G_nabla", b.H, g.vertices())
-        gw = b.g.with_layer("_huge_i1", layer_edges)
+        both = np.intersect1d(g._codes("G_nabla"), g._codes("G_exp"),
+                              assume_unique=True)
+        gw = g._with_codes("_huge_i1", _union_codes(
+            both, g._codes_between("G_nabla", b.H, g.vertices())))
         delta = eta_c * p.rho**2 / (100 * p.omega_star**2)
         Xp, crep = clean_c_plus_yellow(gw, "_huge_i1", [Cs[0], N1, exp_support],
                                        Y, 2, p.omega_star, oss4, delta,
@@ -220,8 +224,8 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
         cp = ConfigParams(omega_star=club_param, omega_tilde=root4_val(p.omega_sstar) / 2,
                           beta=delta)
     elif best == 1:  # i=2 -> D3
-        layer_edges = g.edges("G_D") | g.edges_between("G", b.H, g.vertices())
-        gw = b.g.with_layer("_huge_i2", layer_edges)
+        gw = g._with_codes("_huge_i2", _union_codes(
+            g._codes("G_D"), g._codes_between("G", b.H, g.vertices())))
         delta = eta_c * gamma**2 / (100 * p.omega_star**2)
         Xp, crep = clean_c_plus_yellow(gw, "_huge_i2",
                                        [Cs[1], N2, g.vertices() - b.H], Y, 2,
@@ -263,12 +267,6 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
                           delta=delta, zeta=eta / 2,
                           pi_tilde=h / c_size)
     return _finish(out, w, cp, b, None)
-
-
-def _large_nabla_set(b):
-    g, p = b.g, b.p
-    thr = (1 + Fraction(9, 10) * p.eta) * p.k
-    return frozenset(v for v in range(g.n) if g.deg("G_nabla", v) >= thr)
 
 
 # ---------------------------------------------------------------------
@@ -600,9 +598,8 @@ def obtain_config_matching(b: CommonSettingBundle, split: Split,
            measured=len(M.vertices()), needed=rho * n / p.omega_star)
 
     spots = LayeredGraph(n, {"G": D_nabla.edge_union()})
-    pair_edges = frozenset().union(*(spots.edges_between("G", X, Yv)
-                                     for X, Yv in M.pairs))
-    gw = g.with_layer("_E1", pair_edges)
+    gw = g._with_codes("_E1", _union_codes(
+        *(spots._codes_between("G", X, Yv) for X, Yv in M.pairs)))
     Ybar = split.exceptional_vertices | split.F_shadow
     heart = 2 if flag == "cA" else 1
     parts = [(Yv, X) for X, Yv in M.pairs]  # partitions of (X_0, X_1) = (V_2, V_1)
@@ -740,17 +737,16 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
                  and stripped[i]]
     universe = frozenset().union(*ensemble)
 
-    nabla_minus_exp = LayeredGraph(g.n, {"G": g.edges("G_nabla-G_exp")})
-    G_circ = g.edges_between(b.sd.bd.reg_layer, universe, universe).union(
-        *(nabla_minus_exp.edges_between("G", X, Yv) for X, Yv in b.MAB().pairs))
-    gw = g.with_layer("_G_circ", G_circ)
+    gw = g._with_codes("_G_circ", _union_codes(
+        g._codes_between(b.sd.bd.reg_layer, universe, universe),
+        *(g._codes_between("G_nabla-G_exp", X, Yv) for X, Yv in b.MAB().pairs)))
 
     L_circ = []
     member_sets = set(b.MAB().members())
     for X in ensemble:
         if X in member_sets:
             continue
-        if X and min(gw.deg("_G_circ", v) for v in X) >= (1 + eta / 2) * k:
+        if X and gw.mindeg("_G_circ", X) >= (1 + eta / 2) * k:
             L_circ.append(X)
     lc_union = frozenset().union(*L_circ)
     _record(out, "L_circ_union", lc_union)
@@ -829,7 +825,7 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
             return out
 
     w = ConfigurationWitness("D10", {
-        "Gt_edges": G_circ, "ensemble": tuple(ensemble),
+        "Gt_edges": gw.edges("_G_circ"), "ensemble": tuple(ensemble),
         "M": b.MAB(), "Lstar": tuple(L_circ), "A": X_A, "B": X_B})
     cp = ConfigParams(eps_tilde=p.eps, d_prime=gamma**2 * p.d / 2,
                       ell1=p.pi * sqrt_val(p.eps_prime) * p.nu * k,

@@ -131,11 +131,18 @@ def _check_exact(M, u_list, w_list, e, ab, eps, d, a_min, m_min) -> RegPairCerti
     """
     nu, nw = M.shape
     violates = _violation_test(e, ab, eps, a_min, m_min, nu, nw)
+    ordered = extremal = None  # reused by every block (see _first_hit)
 
     def u_test(sums):  # per U': degrees of w_list into U', then |U'|
-        row, a = np.sort(sums[:, :nw], axis=1), sums[:, nw]
-        extremal = np.stack([row, row[:, ::-1]]).cumsum(axis=2)
-        return violates(extremal, a, slice(1, None)).any(axis=(0, 2))
+        nonlocal ordered, extremal
+        if ordered is None:
+            ordered = np.empty((2, len(sums), nw), dtype=np.int64)
+            extremal = np.empty_like(ordered)
+        ordered[0] = sums[:, :nw]
+        ordered[0].sort(axis=1)
+        ordered[1] = ordered[0][:, ::-1]
+        np.cumsum(ordered, axis=2, out=extremal)
+        return violates(extremal, sums[:, nw], slice(1, None)).any(axis=(0, 2))
 
     found = _first_hit(np.column_stack([M, np.ones(nu, dtype=np.int64)]), u_test)
     if found is None:
@@ -189,6 +196,11 @@ def _first_hit(rows, test):
     bits, so a block holds 2**c x n integers and memory is O(2**10 n)
     whatever k is.  ``test`` maps a block's (2**c, n) sums to a (2**c,)
     bool array.  Returns (mask, subset sum) or None.
+
+    Every block writes its sums into one buffer, and the u-scan's test
+    reuses its own: blocks of a few hundred kilobytes allocated and freed
+    in turn can make the allocator hand the memory back to the system and
+    fault it in again on every block, which costs more than the scan.
     """
     c = min(_BLOCK_BITS, len(rows))
     low = np.zeros((1 << c, rows.shape[1]), dtype=np.int64)
@@ -196,12 +208,13 @@ def _first_hit(rows, test):
         low[1 << i:2 << i] = low[:1 << i] + rows[i]
     high = rows[c:]
     places = np.arange(len(high))
+    sums = np.empty_like(low)
     for b in range(1 << len(high)):
-        sums = low + ((b >> places) & 1) @ high
+        np.add(low, ((b >> places) & 1) @ high, out=sums)
         hit = test(sums)
         if hit.any():
             j = int(hit.argmax())
-            return (b << c) + j, sums[j]
+            return (b << c) + j, sums[j].copy()
     return None
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import floor_val, frac
-from .graphcore import LayeredGraph
+from .graphcore import LayeredGraph, _members, _vertices_where
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,10 @@ def shadow(g: LayeredGraph, layer, U, ell, exclude=frozenset()) -> frozenset:
     an integer degree exceeds ell exactly when it reaches floor(ell) + 1.
     """
     need = floor_val(ell) + 1
-    adj = g.adj(layer)
-    U = frozenset(U) - exclude
-    return frozenset(v for v in range(g.n)
-                     if v not in exclude and len(adj[v] & U) >= need)
+    counts = g._degrees(layer, frozenset(U) - exclude)
+    inside = counts >= max(0, min(need, g.n + 1))  # a threshold inside int64
+    inside[_members(exclude, g.n)] = False
+    return _vertices_where(inside)
 
 
 def shadow_iter(g: LayeredGraph, q: ShadowQuery, exclude=frozenset()) -> frozenset:

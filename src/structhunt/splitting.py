@@ -8,9 +8,10 @@ the actual instance: per-cluster and per-member splits, spot degrees, the
 per-vertex degree splitting over all membership cells, and the edge-count
 clauses, each with its fractional-power slack compared exactly.
 
-Verification is O(|E|) per layer: each layer becomes one directed edge
-array, and the (vertex, cell), (vertex, class, cell) and (class, cell,
-class', cell') tallies are sort-based counts over it (numpy.unique), so
+Verification is O(|E|) per layer: it reads the layer's directed form, both
+orientations of every edge as two int64 arrays kept by the graph, and the
+(vertex, cell), (vertex, class, cell) and (class, cell, class', cell')
+tallies are sort-based counts over it (numpy.unique), so
 memory stays linear in |E| however many classes and B-sets there are.  All
 comparisons are exact integer ones.  They run in int64 only when every
 operand and product provably stays below 2^62, and in Python integers
@@ -24,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .exactmath import floor_root, frac, ge_with_pow_slack, le_frac_pow
-from .graphcore import LayeredGraph
+from .graphcore import LayeredGraph, _members
 from .regularity import RegularizedMatching, check_regular_pair
 from .report import Report
 from .rng import make_rng
@@ -164,7 +164,7 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
     ncell = len(cell_bits)
     cls = np.full(n, -1, dtype=np.int64)
     for i, A in enumerate(split.classes):
-        cls[_ids(A, n)] = i
+        cls[_members(A, n)] = i
     side = cls * ncell + cell   # (class, cell) id; negative outside the classes
 
     # (5): the check "got >= q_i degBJ - 2^-p k^0.9" is cleared of
@@ -181,7 +181,8 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
     vbar2 = set()
     edge_cells = []
     for layer in layers:
-        src, dst = _directed(g.edges(layer))
+        form = g._directed(layer)
+        src, dst = form.rows, form.cols
         cls_dst = cls[dst]
         has_cls = cls_dst >= 0
         # degBJ per (vertex, cell) group, then got per (group, class)
@@ -261,12 +262,6 @@ def _ge_kn_slack(got, want, kn) -> bool:
     return le_frac_pow(shortfall, kn, 3, 5)
 
 
-def _ids(S, n):
-    """The members of S that are vertices 0..n-1, as an int64 array."""
-    a = np.fromiter(S, dtype=np.int64, count=len(S))
-    return a[(a >= 0) & (a < n)]
-
-
 def _cells(Bs, n):
     """Dense membership-cell id per vertex, and each cell's sorted B-indices.
 
@@ -275,20 +270,12 @@ def _cells(Bs, n):
     """
     member = np.zeros((n, len(Bs)), dtype=bool)
     for j, B in enumerate(Bs):
-        member[_ids(B, n), j] = True
+        member[_members(B, n), j] = True
     cell = np.zeros(n, dtype=np.int64)
     for j in range(len(Bs)):
         cell = np.unique(2 * cell + member[:, j], return_inverse=True)[1]
     first = np.unique(cell, return_index=True)[1]
     return cell, [np.flatnonzero(row).tolist() for row in member[first]]
-
-
-def _directed(edges):
-    """Both orientations of an edge set as (source, target) int64 arrays."""
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64,
-                       count=2 * len(edges))
-    u, v = flat[0::2], flat[1::2]
-    return np.concatenate([u, v]), np.concatenate([v, u])
 
 
 def _count_pairs(a, b, size_b):

@@ -5,11 +5,16 @@ first offending line; the bulk loader must give the same layers, or the same
 GraphFormatError, on every text.  ``edge_built_adj`` builds adjacency edge by
 edge from an edge set, the reference for adjacency composed from named
 layers.  ``scan_edges_between`` finds the edges between two sets by one pass
-over every edge of the layer.
+over every edge of the layer.  ``LoopGraph`` keeps each layer as a frozenset
+of (u, v) tuples and answers every query by a loop over frozenset
+adjacency, the reference for the queries read off edge-code arrays.
 """
 
 from __future__ import annotations
 
+import re
+
+from structhunt.exactmath import floor_val
 from structhunt.graphcore import GraphFormatError, LayeredGraph, norm_edge
 
 
@@ -77,3 +82,108 @@ def scan_edges_between(edges, X, Y) -> frozenset:
     """Edges xy with x in X and y in Y, by one pass over every edge."""
     return frozenset(e for e in edges
                      if (e[0] in X and e[1] in Y) or (e[1] in X and e[0] in Y))
+
+
+def scalar_layer(n: int, name, edges) -> frozenset:
+    """The constructor's check of one layer, edge by edge."""
+    seen = set()
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("edge %r out of range in layer %s" % (e, name))
+        ne = norm_edge(u, v)
+        if ne in seen:
+            raise ValueError("duplicate edge %r in layer %s" % (e, name))
+        seen.add(ne)
+    return frozenset(seen)
+
+
+def scalar_added_layer(n: int, name, edges) -> frozenset:
+    """with_layer's check of the layer it adds, edge by edge."""
+    new = frozenset(norm_edge(*e) for e in edges)
+    for u, v in new:
+        if u < 0 or v >= n:
+            raise ValueError("edge %r out of range in layer %s" % ((u, v), name))
+    return new
+
+
+class LoopGraph:
+    """A layered graph as frozensets of edges, queried by loops.
+
+    The conventions are LayeredGraph's: an id outside 0..n-1 has no edges
+    inside a vertex set, and raises ValueError as the vertex of deg or a
+    member of mindeg's or maxdeg's X.
+    """
+
+    def __init__(self, n: int, layers: dict):
+        self.n = n
+        self.layers = {name: frozenset(norm_edge(u, v) for u, v in es)
+                       for name, es in layers.items()}
+
+    def edges(self, spec) -> frozenset:
+        tokens = re.split(r"([+-])", spec.replace(" ", ""))
+        result = frozenset()
+        for op, name in zip(["+"] + tokens[1::2], tokens[::2]):
+            named = self.layers[name]
+            result = result | named if op == "+" else result - named
+        return result
+
+    def adj(self, spec) -> tuple:
+        return edge_built_adj(self.n, self.edges(spec))
+
+    def deg(self, spec, v, U=None) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError("vertex %d out of range" % v)
+        nbrs = self.adj(spec)[v]
+        return len(nbrs) if U is None else len(nbrs & U)
+
+    def mindeg(self, spec, X, Y=None):
+        if not X:
+            return None
+        return min(self.deg(spec, v, Y) for v in X)
+
+    def maxdeg(self, spec, X, Y=None) -> int:
+        if not X:
+            return 0
+        return max(self.deg(spec, v, Y) for v in X)
+
+    def e_ordered(self, spec, X, Y) -> int:
+        adj = self.adj(spec)
+        return sum(len(adj[x] & frozenset(Y)) for x in frozenset(X)
+                   if 0 <= x < self.n)
+
+    def e_induced(self, spec, X) -> int:
+        return self.e_ordered(spec, X, X) // 2
+
+    def density(self, spec, U, W):
+        from fractions import Fraction
+
+        return Fraction(self.e_ordered(spec, U, W), len(U) * len(W))
+
+    def edges_between(self, spec, X, Y) -> frozenset:
+        adj = self.adj(spec)
+        return frozenset((x, y) if x < y else (y, x) for x in X
+                         if 0 <= x < self.n for y in adj[x] & Y)
+
+    def neighbourhood(self, spec, X) -> frozenset:
+        adj = self.adj(spec)
+        return frozenset().union(*(adj[v] for v in X if 0 <= v < self.n))
+
+    def shadow(self, spec, U, ell, exclude=frozenset()) -> frozenset:
+        need = floor_val(ell) + 1
+        adj = self.adj(spec)
+        U = frozenset(U) - exclude
+        return frozenset(v for v in range(self.n)
+                         if v not in exclude and len(adj[v] & U) >= need)
+
+    def dump(self) -> str:
+        lines = ["n %d" % self.n]
+        names = sorted(self.layers)
+        if "G" in names:
+            names.remove("G")
+            names.insert(0, "G")
+        for name in names:
+            lines.append("layer %s" % name)
+            for u, v in sorted(self.layers[name]):
+                lines.append("%d %d" % (u, v))
+        return "\n".join(lines) + "\n"

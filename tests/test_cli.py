@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,6 +69,60 @@ class TestInputErrors:
         (tmp_path / "graph.txt").write_text("n 2\nlayer G\n0 5\n")
         self._one_line_error(capsys, ["hunt-config", str(tmp_path)],
                              "graph.txt", "line 3: vertex id out of range")
+
+    @pytest.mark.parametrize("lines, error", [
+        ("section H\n99999", "line +1: vertex id 99999 out of range"),
+        ("section E\n3 -1", "line +1: vertex id -1 out of range"),
+        ("section cluster\n0 x", "line +1: bad integer 'x'"),
+        ("spot: U=0 W=1 F=0-1,3-3", "line +0: spot edge '3-3' is a self-loop"),
+        ("spot: U=0 W=1 F=0-1,3", "line +0: bad spot edge '3', want a-b"),
+        ("spot: U=0 W=1 F=0-1-2", "line +0: bad spot edge '0-1-2', want a-b"),
+        ("spot: U=0,99999 W=1 F=0-1", "line +0: vertex id 99999 out of range"),
+        ("spot: U=0 W=1 F=0-99999", "line +0: vertex id 99999 out of range"),
+        ("spot: U=0 F=0-1", "line +0: spot line without W="),
+        ("spot: U=0 W=1 F", "line +0: bad spot field 'F', want key=value")])
+    def test_bad_decomposition_line(self, tmp_path, capsys, lines, error):
+        """Every id of decomposition.txt is checked against the graph, and a
+        bad one names its line (the +k counts from the first added line)."""
+        d, _, _ = make_instance_dir(tmp_path)
+        self._check_added_lines(capsys, d, "decomposition.txt", lines, error)
+
+    @pytest.mark.parametrize("name, lines, error", [
+        ("params.txt", "kk 3", "line +0: unknown parameter 'kk'"),
+        ("params.txt", "k x", "line +0: bad integer 'x'"),
+        ("params.txt", "eta 1/0", "line +0: bad number '1/0'"),
+        ("params.txt", "eta", "line +0: parameter eta without a value"),
+        ("params.txt", "eta -1", "line 0: parameter eta must be positive"),
+        ("matching_a.txt", "eps 1/2\n0 1 | 2 x", "line +1: bad integer 'x'"),
+        ("matching_a.txt", "ell", "line +0: ell without a value"),
+        ("matching_a.txt", "0 1 2", "line +0: want a header or a pair line"),
+        ("split.txt", "0 99", "line +0: class 99 of vertex 0, but 10 fractions"),
+        ("split.txt", "0 -1", "line +0: class -1 of vertex 0, but 10 fractions"),
+        ("split.txt", "0", "line +0: want 'v class', got '0'"),
+        ("split.txt", "fractions 1/3 y", "line +0: bad number 'y'")])
+    def test_bad_instance_file_line(self, tmp_path, capsys, name, lines, error):
+        d, _, _ = make_instance_dir(tmp_path)
+        self._check_added_lines(capsys, d, name, lines, error)
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("params.txt", "eta 1/2\n", "line 0: missing parameter k"),
+        ("split.txt", "0 1\n", "line 0: split file missing 'fractions' header")])
+    def test_bad_instance_file(self, tmp_path, capsys, name, text, error):
+        d, _, _ = make_instance_dir(tmp_path)
+        (d / name).write_text(text)
+        self._one_line_error(capsys, ["hunt-config", str(d)], str(d / name), error)
+
+    def _check_added_lines(self, capsys, d, name, lines, error):
+        """Append lines to a file of instance d; hunt-config and
+        verify-witness then end with error, "+k" resolved to a line number."""
+        path = d / name
+        text = path.read_text() if path.exists() else ""
+        path.write_text(text + lines + "\n")
+        first = len(text.splitlines()) + 1
+        error = re.sub(r"\+(\d+)", lambda m: str(first + int(m.group(1))), error)
+        for argv in (["hunt-config", str(d)],
+                     ["verify-witness", str(d), str(d / "missing.txt")]):
+            self._one_line_error(capsys, argv, str(path) + ": " + error)
 
 
 class TestSplitCmd:

@@ -6,6 +6,7 @@ from structhunt.decomposition import (BoundedDecomposition, Params,
                                       SparseDecomposition, captured_subgraph,
                                       cluster_graph, validate_bounded,
                                       validate_sparse)
+from structhunt.regularity import EXACT_CAP
 from structhunt.spots import DenseCover, DenseSpot
 from util import complete_bipartite, graph_from_edges
 
@@ -59,6 +60,23 @@ class TestValidateBounded:
         g2 = g.with_layer("G_reg", [])
         rep = validate_bounded(bd, g2, small_params())
         assert not rep["4. nu k <= |C| = |C'| <= eps k"].passed
+
+    def test_indeterminate_pair_is_info(self):
+        """A complete pair above the exact cap is neither passed nor failed:
+        clause 3 reads info and names the pair."""
+        side = EXACT_CAP + 1
+        C1, C2 = frozenset(range(side)), frozenset(range(side, 2 * side))
+        cross = [(u, v) for u in C1 for v in C2]
+        g = graph_from_edges(2 * side, cross, G_reg=cross, G_exp=[])
+        spot = DenseSpot(C1, C2, cross, Fraction(2), Fraction(1, 2))
+        bd = BoundedDecomposition([C1, C2], DenseCover([spot]), "G_reg", "G_exp",
+                                  frozenset(), [g.vertices()])
+        rep = validate_bounded(bd, g, small_params(k=2 * side))
+        item = rep["3. G_reg respects clusters, pairs eps-regular of density >= gamma^2"]
+        assert item.passed is None
+        assert "pair (C0,C1) indeterminate" in item.note
+        assert "above exact cap %d" % EXACT_CAP in item.note
+        assert rep["6. G_reg-adjacent cluster pairs sit inside one spot"].passed
 
     def test_two_cluster_instance_passes(self):
         g, bd = two_cluster_instance()

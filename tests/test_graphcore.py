@@ -1,13 +1,16 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_graphcore import edge_built_adj, load_graph_lines, scan_edges_between
+from oracle_graphcore import (LoopGraph, edge_built_adj, load_graph_lines,
+                              scalar_added_layer, scalar_layer, scan_edges_between)
 from structhunt.graphcore import (GraphFormatError, LayeredGraph, _load_bulk,
                                   dump_graph, load_graph)
+from structhunt.shadows import shadow
 from util import (brute_force_density, brute_force_e_ordered, complete_bipartite,
                   complete_graph, cycle_graph, graph_from_edges, path_graph,
                   random_graph)
@@ -414,3 +417,111 @@ class TestInvariants:
         # an empty side
         assert g.edges_between("G", frozenset(), Y) == frozenset()
         assert g.edges_between("G", X, frozenset()) == frozenset()
+
+
+SPECS = ["G", "G_D", "G_x", "G+G_D", "G-G_D", "G_D-G", "G+G", "G-G",
+         "G_D+G_D", "G_D+G-G_D", " G_x + G_D - G "]
+
+
+@st.composite
+def loop_cases(draw):
+    """(graph, LoopGraph, spec, X, Y, ell): the same layers built both ways,
+    a spec over them and query arguments with ids in and out of range."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    names = ["G"] + draw(st.lists(st.sampled_from(["G_D", "G_x"]), unique=True))
+    layers = {}
+    for name in names:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        layers[name] = [e[::-1] if draw(st.booleans()) else e for e in chosen]
+    build = draw(st.sampled_from(["constructor", "with_layer", "loaded"]))
+    if build == "constructor":
+        g = LayeredGraph(n, layers)
+    else:
+        g = LayeredGraph(n, {"G": layers["G"]})
+        for name in names[1:]:
+            g = g.with_layer(name, layers[name])
+        if build == "loaded":
+            g = load_graph(dump_graph(g))
+    spec = draw(st.sampled_from([s for s in SPECS
+                                 if set(re.findall(r"G\w*", s)) <= set(names)]))
+    ids = st.integers(-3, n + 2)
+    X, Y = draw(st.frozensets(ids, max_size=8)), draw(st.frozensets(ids, max_size=8))
+    ell = Fraction(draw(st.integers(0, 3 * n + 1)), draw(st.integers(1, 3)))
+    return g, LoopGraph(n, layers), spec, X, Y, ell
+
+
+def _outcome(query, *args):
+    try:
+        return "value", query(*args)
+    except Exception as exc:  # the class and message must match too
+        return type(exc), str(exc)
+
+
+class TestAgainstLoopForms:
+    @given(loop_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_queries_match_loop_forms(self, case):
+        g, ref, spec, X, Y, ell = case
+        assert g.edges(spec) == ref.edges(spec)
+        assert g.adj(spec) == ref.adj(spec)
+        for v in sorted(X | {0, g.n}):
+            for U in (None, Y):
+                assert _outcome(g.deg, spec, v, U) == _outcome(ref.deg, spec, v, U)
+        for A in (X, Y, X & Y, X | Y, frozenset()):
+            for B in (None, X, Y, frozenset()):
+                assert _outcome(g.mindeg, spec, A, B) == _outcome(ref.mindeg, spec, A, B)
+                assert _outcome(g.maxdeg, spec, A, B) == _outcome(ref.maxdeg, spec, A, B)
+        for A, B in ((X, Y), (Y, X), (X, X), (X, X & Y), (X, frozenset())):
+            assert g.e_ordered(spec, A, B) == ref.e_ordered(spec, A, B)
+            assert g.edges_between(spec, A, B) == ref.edges_between(spec, A, B)
+        assert g.e_induced(spec, X) == ref.e_induced(spec, X)
+        assert g.pair_counts(spec, X, Y) == (ref.e_induced(spec, X),
+                                             ref.e_ordered(spec, X, Y))
+        U, W = X - Y, Y - X
+        if U and W:
+            assert g.density(spec, U, W) == ref.density(spec, U, W)
+        assert g.neighbourhood(spec, X) == ref.neighbourhood(spec, X)
+        for exclude in (frozenset(), Y, X & Y):
+            assert shadow(g, spec, X, ell, exclude) == ref.shadow(spec, X, ell, exclude)
+        assert dump_graph(g) == ref.dump()
+
+    LAYER_INPUTS = [
+        [], [(2, 0)], ((0, 1), (1, 2)), {(1, 0), (0, 2)}, [[0, 1]], [(True, 2)],
+        [(0, 1), (0, 3)], [(0, 1), (3, 0)], [(1, 0), (0, 1)], [(0, 1), (2, 2)],
+        [(0, 1), (-1, 2)], [(0, 1), (1, 2), (2, 1), (0, 9)], [(0, 1, 2)], [(0,)],
+        [(0, 1), "01"], [(0, 2**64)], [(0, 1), 5], [(2, 1), (1, 2), (1, 1)],
+        [(1.0, 1)], [(0, 1), (3, 3), (0, 1)]]
+
+    @pytest.mark.parametrize("edges", LAYER_INPUTS)
+    def test_layer_checks_match_scalar_loops(self, edges):
+        """The constructor and with_layer accept what the scalar loops
+        accept, and raise their class and message otherwise, whether the
+        layer comes as a collection or as a one-shot iterator."""
+        for given_as in (list, iter):
+            got = _outcome(lambda: LayeredGraph(
+                3, {"G": [(0, 1)], "G_D": given_as(edges)}).edges("G_D"))
+            assert got == _outcome(scalar_layer, 3, "G_D", edges)
+            got = _outcome(lambda: complete_graph(3).with_layer(
+                "G_D", given_as(edges)).edges("G_D"))
+            assert got == _outcome(scalar_added_layer, 3, "G_D", edges)
+
+    def test_non_integer_id_rejected(self):
+        for build in (lambda es: LayeredGraph(3, {"G": es}),
+                      lambda es: complete_graph(3).with_layer("G_D", es)):
+            with pytest.raises(TypeError):
+                build([(0, 1), (0.5, 2)])
+
+    def test_codes_beyond_int64(self):
+        """n * n above 2^63 keeps codes as Python integers; edges, specs,
+        with_layer and dump_graph stay exact.  (Queries that build the
+        directed form would allocate n counters, so none runs here.)"""
+        n = 10**10
+        text = "n %d\nlayer G\n0 %d\n%d %d\nlayer G_D\n5 7\n" % (n, n - 1, n - 2, n - 1)
+        g = load_graph(text)
+        assert g.edges("G") == {(0, n - 1), (n - 2, n - 1)}
+        assert dump_graph(g) == text
+        g2 = g.with_layer("G_x", [(n - 1, n - 2), (3, n - 5)])
+        assert g2.edges("G+G_x-G_D") == {(0, n - 1), (n - 2, n - 1), (3, n - 5)}
+        assert g2.edges("G-G_x") == {(0, n - 1)}
+        assert LayeredGraph(n, {"G": [(n - 1, 0)]}).edges("G") == {(0, n - 1)}

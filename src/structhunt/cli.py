@@ -5,13 +5,14 @@ Exit codes for hunt-config / verify-witness: 0 = verified witness,
 structured text; hunt-config writes into a run directory.  A malformed
 graph file or a layer spec naming no layer of the graph ends any command
 with one line on stderr and exit code 1, and so does a malformed params,
-decomposition, matching or split file of an instance directory (the
-message names the file and the line).
+decomposition, matching or split file of an instance directory or a
+malformed witness file (the message names the file and the line).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -196,9 +197,17 @@ def cmd_hunt(args) -> int:
     return out.exit_code
 
 
+def _read_witness(path, n: int):
+    """The witness in the file at path, its edges checked against n."""
+    try:
+        return parse_witness(Path(path).read_text(), n)
+    except InstanceFormatError as exc:
+        raise InputError("%s: %s" % (path, exc)) from None
+
+
 def cmd_verify_witness(args) -> int:
     b, split = _build_bundle(args.instance_dir, args.seed)
-    w = parse_witness(Path(args.witness).read_text())
+    w = _read_witness(args.witness, b.g.n)
     cp = getattr(w, "params", None) or ConfigParams()
     try:
         if w.tag in PRECONFIG_TAGS:
@@ -213,7 +222,10 @@ def cmd_verify_witness(args) -> int:
     return 0 if rep.ok else 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Each subcommand
+    names its cmd_* function, which main looks up when it runs."""
     ap = argparse.ArgumentParser(prog="structhunt",
                                  description="layered-graph structure toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -224,14 +236,14 @@ def main(argv=None) -> int:
     s.add_argument("--set", required=True)
     s.add_argument("--ell", required=True)
     s.add_argument("--depth", type=int, default=1)
-    s.set_defaults(func=cmd_shadow)
+    s.set_defaults(func="cmd_shadow")
 
     s = sub.add_parser("split", help="seeded categorical vertex split")
     s.add_argument("--graph", required=True)
     s.add_argument("--q", required=True, help="comma-separated fractions")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
-    s.set_defaults(func=cmd_split)
+    s.set_defaults(func="cmd_split")
 
     s = sub.add_parser("check-regular", help="regular-pair certificate")
     s.add_argument("--graph", required=True)
@@ -242,14 +254,14 @@ def main(argv=None) -> int:
     s.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     s.add_argument("--trials", type=int, default=2000)
     s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=cmd_check_regular)
+    s.set_defaults(func="cmd_check_regular")
 
     s = sub.add_parser("find-spots", help="greedy dense cover")
     s.add_argument("--graph", required=True)
     s.add_argument("--layer", default="G")
     s.add_argument("-m", required=True)
     s.add_argument("--gamma", required=True)
-    s.set_defaults(func=cmd_find_spots)
+    s.set_defaults(func="cmd_find_spots")
 
     s = sub.add_parser("clean", help="run a cleaning algorithm")
     s.add_argument("op", choices=["envelope", "cyellow", "cblack", "yellow",
@@ -273,7 +285,7 @@ def main(argv=None) -> int:
     s.add_argument("--mu", default="1")
     s.add_argument("--d", default="1/2")
     s.add_argument("--h", default="2")
-    s.set_defaults(func=cmd_clean)
+    s.set_defaults(func="cmd_clean")
 
     s = sub.add_parser("hunt-config", help="run the configuration hunt")
     s.add_argument("instance_dir")
@@ -281,17 +293,21 @@ def main(argv=None) -> int:
     s.add_argument("--force-case", choices=["huge", "k1", "k2", "matching",
                                             "wa"])
     s.add_argument("--out")
-    s.set_defaults(func=cmd_hunt)
+    s.set_defaults(func="cmd_hunt")
 
     s = sub.add_parser("verify-witness", help="check a witness file")
     s.add_argument("instance_dir")
     s.add_argument("witness")
     s.add_argument("--seed", type=int, default=0)
-    s.set_defaults(func=cmd_verify_witness)
+    s.set_defaults(func="cmd_verify_witness")
 
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except InputError as exc:
         print("structhunt: error: %s" % exc, file=sys.stderr)
         return 1

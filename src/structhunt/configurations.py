@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .exactmath import cmp_ge, cmp_le, frac
-from .graphcore import LayeredGraph, _vertices_where
+from .graphcore import (LayeredGraph, _Layer, _bulk_codes, _distinct,
+                         _isin_sorted, _mask, _sized, _vertices_where)
 from .regularity import (RegularizedGraph, RegularizedMatching, Sampled,
                          check_m_cover, check_super_regular,
                          validate_regularized_graph,
@@ -255,6 +256,17 @@ def _reg_or_exp_part(rep, w, b, split, cp, mode, cap):
         rep.extend(sub, prefix="reg: ")
 
 
+def _witness_graph(n: int, edges) -> LayeredGraph:
+    """The graph on n vertices whose layer G is the edge collection edges
+    (repeats merge, either orientation); a self-loop or an id outside
+    0..n-1 raises the constructor's ValueError for it."""
+    edges = _sized(edges)
+    codes = _bulk_codes(edges, n)
+    if codes is None:
+        return LayeredGraph(n, {"G": frozenset(tuple(sorted(e)) for e in edges)})
+    return LayeredGraph._validated(n, {"G": _Layer(n, _distinct(codes))})
+
+
 def _absorbed_by_pairs(N: RegularizedMatching, host_pairs) -> bool:
     """Every pair of N sits inside a host pair (either orientation)."""
     for X, Y in N.pairs:
@@ -273,16 +285,16 @@ def verify_configuration(w: ConfigurationWitness, b, split, cp: ConfigParams,
     V = g.vertices()
 
     if w.tag == "D1":
-        A, B, F = frozenset(w["A"]), frozenset(w["B"]), w["F"]
+        A, B = frozenset(w["A"]), frozenset(w["B"])
         if A & B:
             raise ValueError("D1 sides overlap")
-        F = frozenset(tuple(sorted(e)) for e in F)
-        rep.add("H non-empty", bool(F), measured=len(F))
-        rep.add("H inside G", F <= g.edges("G"))
-        ok_bip = all((e[0] in A) != (e[1] in A) and (e[0] in B) != (e[1] in B)
-                     for e in F)
-        rep.add("H bipartite between A and B", ok_bip)
-        helper = LayeredGraph(g.n, {"G": F})
+        helper = _witness_graph(g.n, w["F"])
+        H = helper._directed()
+        rep.add("H non-empty", H.u.size > 0, measured=H.u.size)
+        rep.add("H inside G", bool(_isin_sorted(helper._codes(), g._codes()).all()))
+        inA, inB = _mask(A, g.n), _mask(B, g.n)
+        rep.add("H bipartite between A and B",
+                bool(((inA[H.u] != inA[H.v]) & (inB[H.u] != inB[H.v])).all()))
         support = A | B
         _mindeg_clause(rep, g, "G", "mindeg_G(V(H)) >= k", support, V, k)
         _mindeg_clause(rep, helper, "G", "mindeg(H) >= k/2", support, support,

@@ -15,11 +15,31 @@ Witness files: "config <tag>" then "field = value" lines; vertex sets as
 comma ids, families separated by ";", matchings as "pair|pair;..." with an
 inline parameter suffix, edges as "u-v" pairs.
 
-A malformed params, decomposition, matching or split file raises
+A malformed params, decomposition, matching, split or witness file raises
 InstanceFormatError naming the line (line 0 for the file as a whole);
-load_instance_dir adds the file's path.  Decomposition ids are checked
-against the graph: H, E, clusters and spot sides and edges must be vertices
-0..n-1, and a spot edge "a-b" needs a != b.
+load_instance_dir adds the file's path.  Ids are checked against the graph:
+H, E, clusters, spot sides and edges and matching members must be vertices
+0..n-1, and so must witness edges when parse_witness is given n; an edge
+"a-b" needs a != b.
+
+Bulk reading.  Each of these is read in bulk when it is in the canonical
+form its dumper writes, with numpy checks over its bytes that are linear in
+its length (graphcore._digit_records: runs of 1-18 ASCII digits, each
+followed by the separator the form expects):
+  - a spot line's U=, W= and F= fields, the edges of F loop-free and
+    distinct, and within a decomposition every id below n;
+  - decomposition.txt, when every line ends in a newline, each H, E or
+    cluster section holds one id per line, all below n, and every spot line
+    is printable ASCII that reads in bulk;
+  - split.txt, when a "fractions" line is followed by "v c" lines naming
+    each vertex once, with every class below the number of fractions;
+  - witness edge lists (D1's F, F_edges, Gt_edges), loop-free and distinct,
+    with ids below n when n is given.
+Any other text (comments, blank lines, other whitespace, signs, underscores,
+non-ASCII digits, ids of 19 or more digits, empty entries, self-loops,
+repeats, ids out of range) is read by a scan one line or entry at a time,
+which accepts the same texts with the same result and raises each error
+with its class, text and line.
 """
 
 from __future__ import annotations
@@ -28,9 +48,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .configurations import ConfigParams, ConfigurationWitness
 from .decomposition import BoundedDecomposition, Params, SparseDecomposition
-from .graphcore import LayeredGraph, fmt_vertex_set, load_graph
+from .graphcore import (LayeredGraph, _digit_records, _encode, _has_repeats,
+                        fmt_vertex_set, load_graph)
 from .regularity import RegularizedMatching
 from .splitting import Split
 from .spots import DenseCover, DenseSpot
@@ -92,6 +115,30 @@ def _in_range(ids, n: int) -> None:
             raise ValueError("vertex id %d out of range" % v)
 
 
+def _canonical_ids(text: str, seps: str, n=None, final=False):
+    """The ids of text in the canonical form of graphcore._digit_records,
+    as a (k, len(seps)) array, when each is below n (any id when n is
+    None); else None."""
+    ids = _digit_records(text, seps, final)
+    if ids is None or (n is not None and ids.size and ids.max() >= n):
+        return None
+    return ids
+
+
+def _canonical_edges(text: str, n=None):
+    """(u, v) id arrays of a canonical edge list "a-b,c-d" whose edges are
+    loop-free and distinct and whose ids are below n; else None."""
+    uv = _canonical_ids(text, "-,", n)
+    if uv is None:
+        return None
+    u, v = uv[:, 0], uv[:, 1]
+    bound = n if n is not None else int(uv.max(initial=0)) + 1
+    if (u == v).any() or _has_repeats(
+            np.sort(_encode(np.minimum(u, v), np.maximum(u, v), bound))):
+        return None
+    return u, v
+
+
 def parse_params(text: str) -> Params:
     kw = {}
     for lineno, ln in _content_lines(text):
@@ -118,6 +165,33 @@ def dump_params(p: Params) -> str:
 def parse_spot_line(line: str, m=0, gamma=Fraction(1, 10**6)) -> DenseSpot:
     """A spot from "spot: U=<ids> W=<ids> F=<a-b,...>"; ValueError on a
     malformed field, id or edge."""
+    spot = _bulk_spot(line, m, gamma)
+    return spot if spot is not None else _scan_spot(line, m, gamma)
+
+
+def _bulk_spot(line: str, m, gamma, n=None):
+    """The spot of a canonical spot line: the fields U=, W= and F= and no
+    other (the last of a repeated one counts, as in the scan), ids and edges
+    as _canonical_ids and _canonical_edges read them, every id below n (any
+    id when n is None); None for any other line."""
+    fields = {}
+    for part in line.partition(":")[2].split():
+        key, eq, val = part.partition("=")
+        if not eq:
+            return None
+        fields[key] = val
+    if fields.keys() != {"U", "W", "F"}:
+        return None
+    U, W = (_canonical_ids(fields[key], ",", n) for key in "UW")
+    F = _canonical_edges(fields["F"], n)
+    if U is None or W is None or F is None:
+        return None
+    return DenseSpot._from_arrays(U.ravel().tolist(), W.ravel().tolist(), *F,
+                                  m, gamma)
+
+
+def _scan_spot(line: str, m, gamma) -> DenseSpot:
+    """parse_spot_line one field and one entry at a time."""
     fields = {}
     for part in line.split(":", 1)[1].split():
         key, eq, val = part.partition("=")
@@ -127,19 +201,29 @@ def parse_spot_line(line: str, m=0, gamma=Fraction(1, 10**6)) -> DenseSpot:
     for key in ("U", "W", "F"):
         if key not in fields:
             raise ValueError("spot line without %s=" % key)
-    F = []
-    for e in fields["F"].split(","):
+    F = _scan_edges(fields["F"], "spot")
+    return DenseSpot(_ids(fields["U"].split(",")), _ids(fields["W"].split(",")),
+                     F, m, gamma)
+
+
+def _scan_edges(text: str, what: str, n=None) -> list:
+    """The (u, v) pairs of an "a-b,c-d" list in order, empty entries
+    skipped; ValueError names the first entry that is not two integers, a
+    self-loop or, given n, has an id outside 0..n-1."""
+    edges = []
+    for e in text.split(","):
         if e:
             a, _, b = e.partition("-")
             try:
                 u, v = int(a), int(b)
             except ValueError:
-                raise ValueError("bad spot edge %r, want a-b" % e) from None
+                raise ValueError("bad %s edge %r, want a-b" % (what, e)) from None
             if u == v:
-                raise ValueError("spot edge %r is a self-loop" % e)
-            F.append((u, v))
-    return DenseSpot(_ids(fields["U"].split(",")), _ids(fields["W"].split(",")),
-                     F, m, gamma)
+                raise ValueError("%s edge %r is a self-loop" % (what, e))
+            if n is not None:
+                _in_range((u, v), n)
+            edges.append((u, v))
+    return edges
 
 
 def dump_spot_line(s: DenseSpot) -> str:
@@ -152,6 +236,53 @@ def dump_spot_line(s: DenseSpot) -> str:
 def parse_decomposition(text: str, g: LayeredGraph, p: Params,
                         reg_layer="G_reg", exp_layer="G_exp"
                         ) -> SparseDecomposition:
+    m, gamma = p.gamma * p.k, p.gamma
+    parts = _bulk_decomposition(text, g.n, m, gamma)
+    H, E, clusters, spots = (parts if parts is not None
+                             else _scan_decomposition(text, g.n, m, gamma))
+    bd = BoundedDecomposition([frozenset(c) for c in clusters],
+                              DenseCover(spots), reg_layer, exp_layer,
+                              frozenset(E), [g.vertices()])
+    return SparseDecomposition(frozenset(H), bd)
+
+
+def _bulk_decomposition(text: str, n: int, m, gamma):
+    """(H, E, clusters, spots) of a canonical decomposition text, else None.
+
+    Canonical: every line ends in a newline; a "section H", "section E" or
+    "section cluster" line is followed by one id per line (below n), and a
+    spot line is printable ASCII that _bulk_spot reads.
+    """
+    H, E, clusters, spots = set(), set(), [], []
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        if end < 0:
+            return None
+        line = text[pos:end]
+        if line.startswith("spot:"):
+            spot = _bulk_spot(line, m, gamma, n) if line.isprintable() else None
+            if spot is None:
+                return None
+            spots.append(spot)
+            pos = end + 1
+        elif line in ("section H", "section E", "section cluster"):
+            pos = text.find("\ns", end) + 1 or len(text)  # the next header
+            ids = _canonical_ids(text[end + 1:pos], "\n", n, final=True)
+            if ids is None:
+                return None
+            if line == "section cluster":
+                clusters.append(set())
+            (H if line == "section H" else E if line == "section E"
+             else clusters[-1]).update(ids.ravel().tolist())
+        else:
+            return None
+    return H, E, clusters, spots
+
+
+def _scan_decomposition(text: str, n: int, m, gamma):
+    """_bulk_decomposition one line at a time; raises InstanceFormatError
+    at the first bad line."""
     H, E = set(), set()
     clusters = []
     spots = []
@@ -159,23 +290,20 @@ def parse_decomposition(text: str, g: LayeredGraph, p: Params,
     for lineno, ln in _content_lines(text):
         with _at_line(lineno):
             if ln.startswith("spot:"):
-                s = parse_spot_line(ln, p.gamma * p.k, p.gamma)
-                _in_range(s.vertices().union(*s.F), g.n)
+                s = _scan_spot(ln, m, gamma)
+                _in_range(s.vertices().union(*s.F), n)
                 spots.append(s)
             elif ln.startswith("section "):
                 section = ln.split()[1]
                 if section == "cluster":
                     clusters.append(set())
             elif section in ("H", "E"):
-                (H if section == "H" else E).update(_ids(ln.split(), g.n))
+                (H if section == "H" else E).update(_ids(ln.split(), n))
             elif section == "cluster":
-                clusters[-1].update(_ids(ln.split(), g.n))
+                clusters[-1].update(_ids(ln.split(), n))
             else:
                 raise ValueError("outside any section: %r" % ln)
-    bd = BoundedDecomposition([frozenset(c) for c in clusters],
-                              DenseCover(spots), reg_layer, exp_layer,
-                              frozenset(E), [g.vertices()])
-    return SparseDecomposition(frozenset(H), bd)
+    return H, E, clusters, spots
 
 
 def dump_decomposition(sd: SparseDecomposition) -> str:
@@ -191,7 +319,8 @@ def dump_decomposition(sd: SparseDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matching(text: str) -> RegularizedMatching:
+def parse_matching(text: str, n=None) -> RegularizedMatching:
+    """A regularized matching; given n, every id must be a vertex 0..n-1."""
     header = {"eps": Fraction(1, 2), "d": Fraction(1, 2), "ell": 1, "layer": "G"}
     pairs = []
     for lineno, ln in _content_lines(text):
@@ -205,7 +334,7 @@ def parse_matching(text: str) -> RegularizedMatching:
             sides = ln.split("|")
             if len(sides) != 2:
                 raise ValueError("want a header or a pair line 'ids | ids', got %r" % ln)
-            pairs.append(tuple(frozenset(_ids(side.replace(",", " ").split()))
+            pairs.append(tuple(frozenset(_ids(side.replace(",", " ").split(), n))
                                for side in sides))
     return RegularizedMatching(pairs, header["eps"], header["d"], header["ell"],
                                header["layer"])
@@ -220,6 +349,37 @@ def dump_matching(m: RegularizedMatching) -> str:
 
 
 def parse_split(text: str, target) -> Split:
+    parts = _bulk_split(text)
+    fractions, classes = parts if parts is not None else _scan_split(text)
+    return Split(frozenset(target), classes, fractions, seed=0)
+
+
+def _bulk_split(text: str):
+    """(fractions, classes) of a canonical split text, else None: a
+    "fractions <q0> <q1> ..." line, then "v c" lines (ids as _canonical_ids
+    reads them) naming each vertex once, with c below the number of
+    fractions."""
+    head, _, body = text.partition("\n")
+    words = head.split(" ")
+    if words[0] != "fractions" or len(words) < 2 or not head.isprintable():
+        return None
+    try:
+        fractions = tuple(Fraction(q) for q in words[1:])
+    except (ValueError, ZeroDivisionError):
+        return None
+    vc = _canonical_ids(body, " \n", final=True)
+    if vc is None:
+        return None
+    v, c = vc[:, 0], vc[:, 1]
+    if (c >= len(fractions)).any() or _has_repeats(np.sort(v)):
+        return None
+    return fractions, tuple(frozenset(v[c == i].tolist())
+                            for i in range(len(fractions)))
+
+
+def _scan_split(text: str):
+    """_bulk_split one line at a time; raises InstanceFormatError at the
+    first bad line."""
     fractions = None
     assign = {}
     for lineno, ln in _content_lines(text):
@@ -241,8 +401,7 @@ def parse_split(text: str, target) -> Split:
             raise InstanceFormatError(lineno, "class %d of vertex %d, but %d fractions"
                                       % (c, v, p))
         classes[c].add(v)
-    return Split(frozenset(target), tuple(frozenset(c) for c in classes),
-                 fractions, seed=0)
+    return fractions, tuple(frozenset(c) for c in classes)
 
 
 def dump_split(split: Split) -> str:
@@ -257,12 +416,21 @@ def _fmt_edges(edges) -> str:
     return ",".join("%d-%d" % e for e in sorted(edges))
 
 
-def _parse_edges(text: str):
-    return [tuple(int(v) for v in e.split("-")) for e in text.split(",") if e]
+def _parse_edges(text: str, n=None) -> list:
+    """The (u, v) pairs of a witness edge list, in order."""
+    found = _canonical_edges(text, n)
+    if found is None:
+        return _scan_edges(text, "witness", n)
+    u, v = found
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def _fmt_family(fam) -> str:
     return ";".join(",".join(str(v) for v in sorted(x)) for x in fam)
+
+
+def _int(text: str) -> int:
+    return _number(text, integer=True)
 
 
 def _parse_family(text: str):
@@ -270,7 +438,7 @@ def _parse_family(text: str):
     for part in text.split(";"):
         part = part.strip()
         if part:
-            out.append(frozenset(int(v) for v in part.split(",")))
+            out.append(frozenset(_int(v) for v in part.split(",")))
     return tuple(out)
 
 
@@ -286,9 +454,10 @@ def _parse_pairs(text: str):
         part = part.strip()
         if not part:
             continue
-        left, right = part.split("|")
-        out.append((frozenset(int(v) for v in left.split(",") if v),
-                    frozenset(int(v) for v in right.split(",") if v)))
+        sides = part.split("|")
+        if len(sides) != 2:
+            raise ValueError("bad pair %r, want ids|ids" % part)
+        out.append(tuple(frozenset(_ids(side.split(","))) for side in sides))
     return tuple(out)
 
 
@@ -302,65 +471,82 @@ STR_FIELDS = {"precfg"}
 INT_FIELDS = {"heart"}
 
 
-def parse_witness(text: str) -> ConfigurationWitness:
-    tag = None
+def parse_witness(text: str, n=None) -> ConfigurationWitness:
+    """The witness in a witness file's text; given n, every edge's ids must
+    be vertices 0..n-1.  A malformed line raises InstanceFormatError naming
+    it (line 0 when the "config <tag>" line is missing)."""
+    tag, tag_line = None, 0
     data = {}
     params = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("config "):
-            tag = ln.split(None, 1)[1].strip()
-            continue
-        if ln.startswith("param "):
-            name, val = ln[6:].split("=", 1)
-            params[name.strip()] = _parse_param_value(val.strip())
-            continue
-        name, val = (x.strip() for x in ln.split("=", 1))
-        if name in SET_FIELDS:
-            data[name] = frozenset(int(v) for v in val.replace(",", " ").split())
-        elif name == "F" and tag == "D1":
-            data[name] = _parse_edges(val)
-        elif name in EDGE_FIELDS:
-            data["Gt_edges" if name == "Gt_edges" else name] = _parse_edges(val)
-        elif name in FAMILY_FIELDS:
-            data[name] = _parse_family(val)
-        elif name in PAIR_FIELDS:
-            data[name] = _parse_pairs(val)
-        elif name in MATCHING_FIELDS:
-            body, _, suffix = val.partition("@")
-            pairs = _parse_pairs(body)
-            kw = {"eps": Fraction(1, 2), "d": Fraction(0), "ell": 0,
-                  "layer": "G"}
-            for tokenpair in suffix.split():
-                kname, kval = tokenpair.split("=")
-                kw[kname] = kval if kname == "layer" else Fraction(kval)
-            data[name] = RegularizedMatching(pairs, kw["eps"], kw["d"],
-                                             kw["ell"], kw["layer"])
-        elif name in STR_FIELDS:
-            data[name] = val
-        elif name in INT_FIELDS:
-            data[name] = int(val)
-        else:
-            raise ValueError("unknown witness field %r" % name)
+    for lineno, ln in _content_lines(text):
+        with _at_line(lineno):
+            if ln.startswith("config "):
+                tag, tag_line = ln.split(None, 1)[1].strip(), lineno
+            elif ln.startswith("param "):
+                name, val = _field(ln[6:])
+                if name not in ConfigParams.__dataclass_fields__:
+                    raise ValueError("unknown parameter %r" % name)
+                params[name] = _parse_param_value(val)
+            else:
+                name, val = _field(ln)
+                data[name] = _witness_value(name, val, tag, n)
     if tag is None:
-        raise ValueError("witness file missing 'config <tag>' line")
-    w = ConfigurationWitness(tag, data)
+        raise InstanceFormatError(0, "witness file missing 'config <tag>' line")
+    with _at_line(tag_line):
+        w = ConfigurationWitness(tag, data)
     w.params = ConfigParams(**params) if params else None
     return w
+
+
+def _field(line: str) -> tuple:
+    """(name, value) of a "name = value" line."""
+    name, eq, val = line.partition("=")
+    if not eq:
+        raise ValueError("want 'field = value', got %r" % line)
+    return name.strip(), val.strip()
+
+
+def _witness_value(name: str, val: str, tag, n):
+    """The value of witness field name (tag: the config so far)."""
+    if name in SET_FIELDS:
+        return frozenset(_ids(val.replace(",", " ").split()))
+    if (name == "F" and tag == "D1") or name in EDGE_FIELDS:
+        return _parse_edges(val, n)
+    if name in FAMILY_FIELDS:
+        return _parse_family(val)
+    if name in PAIR_FIELDS:
+        return _parse_pairs(val)
+    if name in MATCHING_FIELDS:
+        body, _, suffix = val.partition("@")
+        kw = {"eps": Fraction(1, 2), "d": Fraction(0), "ell": 0, "layer": "G"}
+        for token in suffix.split():
+            key, eq, kval = token.partition("=")
+            if not eq or key not in kw:
+                raise ValueError("bad matching parameter %r, want "
+                                 "eps=, d=, ell= or layer=" % token)
+            kw[key] = kval if key == "layer" else _number(kval)
+        return RegularizedMatching(_parse_pairs(body), kw["eps"], kw["d"],
+                                   kw["ell"], kw["layer"])
+    if name in STR_FIELDS:
+        return val
+    if name in INT_FIELDS:
+        return _int(val)
+    raise ValueError("unknown witness field %r" % name)
 
 
 def _parse_param_value(text: str):
     """Rational, or "c * x^(1/n)" for an exact root value."""
     from .exactmath import RootVal
 
-    if "^(1/" in text:
-        coef_part, root_part = (x.strip() for x in text.split("*", 1))
-        base, deg = root_part.split("^(1/")
-        return RootVal(Fraction(coef_part), Fraction(base),
-                       int(deg.rstrip(")")))
-    return Fraction(text)
+    try:
+        if "^(1/" in text:
+            coef_part, root_part = (x.strip() for x in text.split("*", 1))
+            base, deg = root_part.split("^(1/")
+            return RootVal(Fraction(coef_part), Fraction(base),
+                           int(deg.rstrip(")")))
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("bad parameter value %r" % text) from None
 
 
 def _fmt_param_value(v) -> str:
@@ -421,7 +607,7 @@ def load_instance_dir(path) -> tuple:
     for name in ("G_reg", "G_exp"):
         if not g.has_layer(name):
             g = g.with_layer(name, [])
-    MA, MB = (_parsed(f, parse_matching) if f.exists() else
+    MA, MB = (_parsed(f, parse_matching, g.n) if f.exists() else
               RegularizedMatching([], Fraction(1, 2), Fraction(0), 0)
               for f in (path / "matching_a.txt", path / "matching_b.txt"))
     split_file = path / "split.txt"

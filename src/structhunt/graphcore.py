@@ -40,7 +40,8 @@ load_graph parses each block of the canonical form that dump_graph writes in
 bulk, and checks ranges, self-loops and duplicates over the whole block.
 Any other text (comments, blank lines, other whitespace, signed ids), and
 any text the bulk checks reject, goes through the line scan, which accepts
-the same files and names the first offending line.
+the same files and names the first offending line.  The byte checks
+(_digit_records) also serve the bulk readers of fileio.
 
 Degree and edge-count conventions: deg(v, U) counts neighbours of v inside
 U; e(X) counts edges induced by X; e(X, Y) counts ordered pairs (x, y) with
@@ -165,7 +166,7 @@ def _constructor_codes(n: int, name, edges):
     anything the bulk check rejects is checked again by the scalar loop."""
     edges = _sized(edges)
     codes = _bulk_codes(edges, n)
-    if codes is not None and not (codes[1:] == codes[:-1]).any():
+    if codes is not None and not _has_repeats(codes):
         return codes
     seen = set()
     for e in edges:
@@ -529,24 +530,61 @@ def _edge_block(body: str, n: int):
     newline, and the edges are in range, loop-free and distinct."""
     if not body:
         return _NO_CODES
-    if not body.isascii():
+    uv = _digit_records(body, " \n")
+    if uv is None:
         return None
-    b = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    seps = np.flatnonzero((b == 32) | (b == 10))
-    if seps.size % 2 or seps.size == 0 or seps[-1] != b.size - 1:
-        return None
-    runs = np.diff(seps, prepend=-1) - 1  # digits before each separator;
-    # at most 18 of them keep every id inside int64
-    if ((b[seps[0::2]] != 32).any() or (b[seps[1::2]] != 10).any()
-            or runs.min() < 1 or runs.max() > 18
-            or np.count_nonzero((b < 48) | (b > 57)) != seps.size):
-        return None
-    uv = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
     lo, hi = uv.min(axis=1), uv.max(axis=1)
     if (lo == hi).any() or hi.max() >= n:
         return None
     codes = np.sort(_encode(lo, hi, n))
-    return None if (codes[1:] == codes[:-1]).any() else codes
+    return None if _has_repeats(codes) else codes
+
+
+_SEPARATORS_TO_SPACE = bytes(b if 48 <= b <= 57 else 32 for b in range(256))
+
+
+def _digit_records(text: str, seps: str, final: bool = True):
+    """The ids of text as a (k, len(seps)) int64 array, or None.
+
+    text must be k records, each len(seps) runs of 1-18 ASCII digits with
+    the i-th run followed by seps[i], except that the last record's last
+    run ends the text when final is false; empty text is k = 0.  Every
+    other text, such as signs, underscores, non-ASCII digits, spaces,
+    empty runs or more than 18 digits (which could overflow int64), gives
+    None.  One pass of numpy checks over the bytes, linear in the text.
+    """
+    width = len(seps)
+    if not text:
+        return np.zeros((0, width), dtype=np.int64)
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero((b < 48) | (b > 57))  # every non-digit ends a run
+    count = ends.size + (not final)
+    if count % width or (final and (ends.size == 0 or ends[-1] != b.size - 1)):
+        return None
+    pattern = np.frombuffer(seps.encode("ascii") * (count // width), dtype=np.uint8)
+    if not np.array_equal(b[ends], pattern[:ends.size]):
+        return None
+    runs = np.diff(ends if final else np.append(ends, b.size), prepend=-1) - 1
+    if runs.min() < 1 or runs.max() > 18:
+        return None
+    ids = np.fromstring(raw.translate(_SEPARATORS_TO_SPACE), dtype=np.int64, sep=" ")
+    return ids.reshape(-1, width)
+
+
+def _has_repeats(sorted_array) -> bool:
+    """Does a sorted array hold any value twice?"""
+    return bool((sorted_array[1:] == sorted_array[:-1]).any())
+
+
+def _isin_sorted(codes, sorted_codes):
+    """For each code, is it in the sorted array sorted_codes?"""
+    if not sorted_codes.size:
+        return np.zeros(len(codes), dtype=bool)
+    at = np.searchsorted(sorted_codes, codes)
+    return sorted_codes[np.minimum(at, sorted_codes.size - 1)] == codes
 
 
 def _load_lines(text: str):

@@ -23,6 +23,7 @@ run in int64 for every eps, however large its numerator and denominator.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .exactmath import frac
-from .graphcore import LayeredGraph
+from .graphcore import LayeredGraph, _members
 from .report import Report
 from .rng import make_rng
 
@@ -69,16 +70,26 @@ def _min_size(eps: Fraction, size: int) -> int:
 
 
 def _adj_matrix(g: LayeredGraph, layer, U, W):
+    """(sorted U, sorted W, M) with M[i, j] = 1 when the i-th vertex of U
+    and the j-th of W are adjacent in the layer; ids outside 0..n-1 have no
+    edges."""
     u_list, w_list = sorted(U), sorted(W)
-    adj = g.adj(layer)
+    d = g._directed(layer)
+    row, col = _positions(u_list, g.n)[d.rows], _positions(w_list, g.n)[d.cols]
+    hit = (row >= 0) & (col >= 0)
     M = np.zeros((len(u_list), len(w_list)), dtype=np.int64)
-    w_index = {w: j for j, w in enumerate(w_list)}
-    for i, u in enumerate(u_list):
-        for w in adj[u]:
-            j = w_index.get(w)
-            if j is not None:
-                M[i, j] = 1
+    M[row[hit], col[hit]] = 1
     return u_list, w_list, M
+
+
+def _positions(ids: list, n: int) -> np.ndarray:
+    """pos[v]: the index of vertex v in the sorted list ids, -1 for the
+    vertices not in it."""
+    inside = _members(ids, n)  # a contiguous run of the sorted ids
+    first = bisect_left(ids, 0)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[inside] = np.arange(first, first + inside.size)
+    return pos
 
 
 def check_regular_pair(g: LayeredGraph, layer, U, W, eps, mode="exact",

@@ -15,8 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .exactmath import frac, sqrt_val
-from .graphcore import LayeredGraph, _support, norm_edge
+from .graphcore import (LayeredGraph, _encode, _isin_sorted, _pairs, _support,
+                        _union_codes, norm_edge)
 from .report import Report
 from .rng import split_rng
 from .shadows import maximal_cut, min_degree_subgraph, peel_bipartite
@@ -34,6 +37,27 @@ class DenseSpot:
         self.m = m
         self.gamma = frac(gamma)
         self._degrees = Counter(v for e in self.F for v in e)
+        self._ends = None
+
+    @classmethod
+    def _from_arrays(cls, U, W, u, v, m, gamma) -> "DenseSpot":
+        """The spot (U, W; F) for F given as int64 arrays u, v of the ends of
+        distinct, loop-free edges, already checked."""
+        s = cls.__new__(cls)
+        s.U, s.W = frozenset(U), frozenset(W)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        lo_list, hi_list = lo.tolist(), hi.tolist()
+        s.F = frozenset(zip(lo_list, hi_list))
+        s.m, s.gamma = m, frac(gamma)
+        s._degrees = Counter(lo_list + hi_list)
+        s._ends = lo, hi
+        return s
+
+    def _edge_ends(self) -> tuple:
+        """(lo, hi): the ends of the edges of F as int64 arrays, lo < hi."""
+        if self._ends is None:
+            self._ends = _pairs(self.F)
+        return self._ends
 
     def sides(self) -> frozenset:
         return frozenset({self.U, self.W})
@@ -419,43 +443,31 @@ def clean_spots(g: LayeredGraph, spots, E, clusters, gamma, k, rho,
     """
     gamma, k, rho = frac(gamma), frac(k), frac(rho)
     E = frozenset(E)
-    captured = g.edges(reg_layer) | g.edges_between("G", E, E.union(*clusters))
+    captured = _union_codes(g._codes(reg_layer),
+                            g._codes_between("G", E, E.union(*clusters)))
+
+    def is_captured(lo, hi):
+        return (lo >= 0) & (hi < g.n) & _isin_sorted(_encode(lo, hi, g.n), captured)
 
     rep = Report("clean-spots")
     out_spots = []
     absorption = []
     root_gamma = sqrt_val(gamma)
     for idx, D in enumerate(spots):
-        uncaptured = D.F - captured
+        lo, hi = D._edge_ends()
+        keep = is_captured(lo, hi)
         # discard rule: |uncaptured| >= sqrt(gamma) * e(D), exactly
-        if root_gamma * len(D.F) <= len(uncaptured):
+        if root_gamma * len(D.F) <= len(D.F) - int(np.count_nonzero(keep)):
             absorption.append((idx, None))
             continue
         a, b = len(D.U), len(D.W)
         thr_u = gamma * gamma * b / 4  # static: original side sizes
         thr_w = gamma * gamma * a / 4
-        F = set(D.F & captured)
-        degs = {}
-        for e in F:
-            for v in e:
-                degs[v] = degs.get(v, 0) + 1
-        U, W = set(D.U) & set(degs), set(D.W) & set(degs)
-        changed = True
-        while changed:
-            changed = False
-            for side, thr in ((U, thr_u), (W, thr_w)):
-                for v in sorted(side):
-                    if degs.get(v, 0) < thr:
-                        side.remove(v)
-                        for e in [e for e in F if v in e]:
-                            F.remove(e)
-                            for w in e:
-                                degs[w] = degs.get(w, 0) - 1
-                        changed = True
-        support = {v for e in F for v in e}
-        if F:
-            new = DenseSpot(frozenset(U) & support, frozenset(W) & support,
-                            F, gamma ** 3 * k / 4, gamma / 2)
+        lo, hi = _peel(D, lo[keep], hi[keep], thr_u, thr_w)
+        if lo.size:
+            support = set(lo.tolist()) | set(hi.tolist())
+            new = DenseSpot._from_arrays(D.U & support, D.W & support, lo, hi,
+                                         gamma ** 3 * k / 4, gamma / 2)
             out_spots.append(new)
             absorption.append((idx, new))
         else:
@@ -464,7 +476,7 @@ def clean_spots(g: LayeredGraph, spots, E, clusters, gamma, k, rho,
     lost = sum(len(D.F) for D in spots) - sum(len(s.F) for s in out_spots)
     rep.check_le("property 1: |E(D) \\ E(D_nabla)| <= rho k n", lost,
                  rho * k * g.n, note="reported, not asserted")
-    prop2 = all(s.F <= captured for s in out_spots)
+    prop2 = all(is_captured(*s._edge_ends()).all() for s in out_spots)
     rep.add("property 2: output edges captured", prop2)
     dense_ok = all(is_dense_spot(s).ok for s in out_spots)
     rep.add("outputs are (gamma^3 k/4, gamma/2)-dense", dense_ok)
@@ -480,3 +492,33 @@ def clean_spots(g: LayeredGraph, spots, E, clusters, gamma, k, rho,
     rep.add("absorption recorded", absorbed)
     rep.absorption = absorption
     return DenseCover(out_spots), rep
+
+
+def _peel(D: DenseSpot, lo, hi, thr_u, thr_w) -> tuple:
+    """The edges (lo, hi) left after peeling D's sides: sweep U, then W, in
+    increasing order, removing each vertex with fewer than thr_u (on U) or
+    thr_w (on W) edges left and its edges, until a sweep removes nothing."""
+    ends = lo.tolist() + hi.tolist()
+    degs = Counter(ends)
+    U, W = set(D.U).intersection(degs), set(D.W).intersection(degs)
+    if all(degs[v] >= thr_u for v in U) and all(degs[v] >= thr_w for v in W):
+        return lo, hi
+    incident = {}  # vertex -> indices of its edges
+    for i, v in enumerate(ends):
+        incident.setdefault(v, []).append(i % lo.size)
+    alive = [True] * lo.size
+    changed = True
+    while changed:
+        changed = False
+        for side, thr in ((U, thr_u), (W, thr_w)):
+            for v in sorted(side):
+                if degs[v] < thr:
+                    side.remove(v)
+                    for i in incident.get(v, ()):
+                        if alive[i]:
+                            alive[i] = False
+                            degs[ends[i]] -= 1
+                            degs[ends[i + lo.size]] -= 1
+                    changed = True
+    keep = np.array(alive, dtype=bool)
+    return lo[keep], hi[keep]

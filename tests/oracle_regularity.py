@@ -16,6 +16,10 @@ witness.
 ``sampled_regular_pair`` is sampled mode as a draw loop on every pair, the
 reference for the closed form that check_regular_pair takes on a pair of
 density 0 or 1.
+
+``frozenset_adj_matrix`` is the pair's 0/1 matrix filled one frozenset
+lookup at a time, the reference for the masked fill of ``_adj_matrix``
+(which ``loop_regular_pair`` itself calls).
 """
 
 from __future__ import annotations
@@ -167,3 +171,17 @@ def sampled_regular_pair(g, layer, U, W, eps: Fraction, mode) -> RegPairCertific
     return RegPairCertificate("sampled-regular", eps, d, trials=mode.trials,
                               worst_deviation=worst,
                               note="non-exhaustive: %d sampled subset pairs" % mode.trials)
+
+
+def frozenset_adj_matrix(g, layer, U, W):
+    """(sorted U, sorted W, M) from the frozenset adjacency, entry by entry."""
+    u_list, w_list = sorted(U), sorted(W)
+    adj = g.adj(layer)
+    M = np.zeros((len(u_list), len(w_list)), dtype=np.int64)
+    w_index = {w: j for j, w in enumerate(w_list)}
+    for i, u in enumerate(u_list):
+        for w in adj[u]:
+            j = w_index.get(w)
+            if j is not None:
+                M[i, j] = 1
+    return u_list, w_list, M

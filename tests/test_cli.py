@@ -112,6 +112,37 @@ class TestInputErrors:
         (d / name).write_text(text)
         self._one_line_error(capsys, ["hunt-config", str(d)], str(d / name), error)
 
+    @pytest.mark.parametrize("lines, error", [
+        ("config D1\nA = 0\nF = 1-x", "line 3: bad witness edge '1-x', want a-b"),
+        ("config D1\nbogus line", "line 2: want 'field = value', got 'bogus line'"),
+        ("config D1\nF = 0-2,1-99999", "line 2: vertex id 99999 out of range"),
+        ("config D1\nF = 0-1,3-3", "line 2: witness edge '3-3' is a self-loop"),
+        ("config D1\nF = 0-1,-1-2", "line 2: bad witness edge '-1-2', want a-b"),
+        ("config D6\nA = 0,x", "line 2: bad integer 'x'"),
+        ("config D6\nQ = 1", "line 2: unknown witness field 'Q'"),
+        ("config D6\n\n# note\npairs = 0|1|2", "line 4: bad pair '0|1|2', want ids|ids"),
+        ("config D6\nN = 0|1 @ eps", "line 2: bad matching parameter 'eps'"),
+        ("config D6\nN = 0|1 @ eps=1/0", "line 2: bad number '1/0'"),
+        ("config D6\nheart = one", "line 2: bad integer 'one'"),
+        ("config D6\nparam nope = 1", "line 2: unknown parameter 'nope'"),
+        ("config D6\nparam beta = 2 * 3^(1/x)", "line 2: bad parameter value"),
+        ("config D11", "line 1: unknown witness tag 'D11'"),
+        ("A = 0", "line 0: witness file missing 'config <tag>' line")])
+    def test_bad_witness_file(self, tmp_path, capsys, lines, error):
+        d, _, _ = make_instance_dir(tmp_path)
+        witness = tmp_path / "witness.txt"
+        witness.write_text(lines + "\n")
+        self._one_line_error(capsys, ["verify-witness", str(d), str(witness)],
+                             "structhunt: error: %s: %s" % (witness, error))
+
+    def test_matching_ids_checked_against_graph(self, tmp_path, capsys):
+        d, b, _ = make_instance_dir(tmp_path)
+        (d / "matching_a.txt").write_text("eps 1/2\n0 1 | 2 99999\n")
+        for argv in (["hunt-config", str(d)],
+                     ["verify-witness", str(d), str(d / "missing.txt")]):
+            self._one_line_error(capsys, argv, "%s: line 2: vertex id 99999 out "
+                                 "of range" % (d / "matching_a.txt"))
+
     def _check_added_lines(self, capsys, d, name, lines, error):
         """Append lines to a file of instance d; hunt-config and
         verify-witness then end with error, "+k" resolved to a line number."""
@@ -278,6 +309,44 @@ class TestVerifyWitnessCmd:
         capsys.readouterr()
         assert main(["verify-witness", str(d), str(witness)]) == 0
         assert "lacks required" not in capsys.readouterr().out
+
+
+# every pipeline instance whose hunt writes a witness, by its golden name
+HUNT_WITNESSES = sorted(path.parent.name[len("hunt_"):] for path in
+                        (Path(__file__).parent / "golden").glob("hunt_*/witness.txt"))
+
+
+class TestVerifyWitnessFromDisk:
+    @pytest.mark.parametrize("name", HUNT_WITNESSES)
+    def test_prints_the_in_memory_report(self, tmp_path, capsys, name):
+        """verify-witness on the written instance and witness prints the
+        report the checker renders for the bundle in memory, and exits 0
+        exactly when it passes."""
+        import pipeline_instances
+        from structhunt.configurations import (PRECONFIG_TAGS, ConfigParams,
+                                               verify_configuration,
+                                               verify_preconfiguration)
+        from structhunt.pipeline import hunt_configuration
+
+        if name.startswith("random_"):
+            seed = int(name[len("random_"):])
+            b, split = pipeline_instances.random_instance(seed)
+        else:
+            seed = 0
+            b, split = getattr(pipeline_instances, name + "_instance")()
+        out = hunt_configuration(b, split, seed=seed)
+        d = write_instance_dir(tmp_path, b, split)
+        for file, m in (("matching_a.txt", b.MA), ("matching_b.txt", b.MB)):
+            if m.pairs:
+                (d / file).write_text(dump_matching(m))
+        witness = tmp_path / "witness.txt"
+        witness.write_text(dump_witness(out.witness, out.config_params))
+        check = (verify_preconfiguration if out.witness.tag in PRECONFIG_TAGS
+                 else verify_configuration)
+        rep = check(out.witness, b, split, out.config_params or ConfigParams())
+        rc = main(["verify-witness", str(d), str(witness), "--seed", str(seed)])
+        assert capsys.readouterr().out == rep.render() + "\n"
+        assert rc == (0 if rep.ok else 3)
 
 
 class TestFileFormats:

@@ -1,8 +1,14 @@
 from fractions import Fraction
 
+import random
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import BUILDERS, build
+from oracle_tuple_sets import tuple_d1_report
+from util import random_graph
 from structhunt.configurations import (PRECONFIG_TAGS, ConfigParams,
                                        ConfigurationWitness,
                                        verify_configuration,
@@ -108,3 +114,42 @@ class TestD10Specifics:
         rep = verify_configuration(w2, b, split, cp)
         item = rep["(b) all but <= eps~|A| vertices see (1+eta')k into V(M)+L*"]
         assert item.passed
+
+
+def _report_or_error(check, w, b):
+    try:
+        return check(w, b).render()
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestD1AgainstTupleSets:
+    @given(st.integers(0, 10**6), st.integers(2, 20), st.sampled_from([0.2, 0.5, 0.9]),
+           st.sampled_from([None, "self-loop", "out of range", "negative",
+                            "not a pair", "repeat"]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tuple_set_form(self, seed, n, p, bad):
+        """Same report, or the same error for a bad witness edge: edges of G
+        and non-edges, either orientation, repeats, sides with ids outside
+        the graph."""
+        rng = random.Random(seed)
+        g = random_graph(n, p, seed)
+        A = frozenset(v for v in range(n) if rng.random() < 0.4)
+        B = frozenset(v for v in range(n) if v not in A and rng.random() < 0.5)
+        if rng.random() < 0.2:
+            A |= {n + 3}
+        edges = sorted(g.edges("G"))
+        F = [e[::-1] if rng.random() < 0.5 else e for e in edges if rng.random() < 0.5]
+        F += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.05]
+        if bad == "repeat":
+            F += F[:1] + [e[::-1] for e in F[:1]]
+        elif bad is not None:
+            F.insert(rng.randint(0, len(F)), {"self-loop": (1, 1),
+                                              "out of range": (0, n + rng.randint(0, 2)),
+                                              "negative": (-1, 0),
+                                              "not a pair": (0, 1, 1)}[bad])
+        rng.shuffle(F)
+        b = SimpleNamespace(g=g, p=SimpleNamespace(k=rng.randint(1, 5)))
+        w = ConfigurationWitness("D1", {"A": A, "B": B, "F": F})
+        got = _report_or_error(lambda w, b: verify_configuration(w, b, None, ConfigParams()), w, b)
+        assert got == _report_or_error(tuple_d1_report, w, b)

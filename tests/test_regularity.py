@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_regularity import (loop_regular_pair, oracle_regular_pair,
-                               sampled_regular_pair)
+from oracle_regularity import (frozenset_adj_matrix, loop_regular_pair,
+                               oracle_regular_pair, sampled_regular_pair)
 from structhunt.regularity import (RegularizedGraph, RegularizedMatching, Sampled,
-                                   _first_hit,
+                                   _adj_matrix, _first_hit,
                                    check_m_cover, check_regular_pair,
                                    check_super_regular, degree_typicality,
                                    restrict_pair_params,
@@ -141,6 +141,30 @@ def agrees_with_loop(g, A, B, eps):
     assert (cert.verdict, cert.witness) == (
         "exact-%s" % verdict, witness), (len(A), len(B), eps)
     return cert
+
+
+class TestAdjMatrix:
+    @given(st.integers(0, 10**6), st.integers(1, 30), st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+           st.sampled_from(["G", "G_D", "G+G_D", "G-G_D"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_frozenset_fill(self, seed, n, p, spec):
+        """The masked fill equals the entry-by-entry fill on any two vertex
+        sets, overlapping or not, empty or not."""
+        rng = random.Random(seed)
+        g = random_graph(n, p, seed)
+        g = g.with_layer("G_D", [e for e in sorted(g.edges("G")) if rng.random() < 0.5]
+                         + [(0, v) for v in range(1, n) if rng.random() < 0.2])
+        U = frozenset(v for v in range(n) if rng.random() < 0.4)
+        W = frozenset(v for v in range(n) if rng.random() < 0.4)
+        new, old = _adj_matrix(g, spec, U, W), frozenset_adj_matrix(g, spec, U, W)
+        assert new[:2] == old[:2]
+        assert new[2].dtype == old[2].dtype and np.array_equal(new[2], old[2])
+
+    def test_ids_outside_the_graph_have_no_edges(self):
+        g = complete_bipartite(range(3), range(3, 6))
+        u_list, w_list, M = _adj_matrix(g, "G", {-2, 0, 1, 9}, {3, 4, 6})
+        assert (u_list, w_list) == ([-2, 0, 1, 9], [3, 4, 6])
+        assert M.tolist() == [[0, 0, 0], [1, 1, 0], [1, 1, 0], [0, 0, 0]]
 
 
 class TestExactKernelBlocks:

@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracle_tuple_sets import tuple_clean_spots
 from structhunt.graphcore import norm_edge
 from structhunt.spots import (DenseCover, DenseSpot, check_avoiding,
                               certify_nowhere_dense, clean_spots,
@@ -332,3 +334,55 @@ class TestSpotFacts:
                     counts[v] = counts.get(v, 0) + 1
             for v, c in counts.items():
                 assert c < omega / gamma
+
+
+class TestCleanSpotsAgainstTupleSets:
+    @given(st.integers(0, 10**6), st.sampled_from([Fraction(1, 2), Fraction(3, 4),
+                                                   Fraction(9, 10), Fraction(1, 5)]),
+           st.sampled_from([0.3, 0.7, 0.9, 1.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_tuple_set_form(self, seed, gamma, captured_share):
+        """Same cover, spot for spot, same report and absorption: spots with
+        captured shares from none to all, captured through G_reg and through
+        E and the clusters, sides of any sizes, and some spots given as
+        parsed arrays."""
+        from structhunt.fileio import dump_spot_line, parse_spot_line
+
+        rng = random.Random(seed)
+        n = rng.randint(8, 30)
+        verts = list(range(n))
+        spots, G = [], set()
+        for _ in range(rng.randint(1, 4)):
+            rng.shuffle(verts)
+            a, b = rng.randint(1, 6), rng.randint(1, 6)
+            U, W = verts[:a], verts[a:a + b]
+            F = [(u, w) for u in U for w in W if rng.random() < 0.8] or [(U[0], W[0])]
+            G.update(norm_edge(*e) for e in F)
+            spot = DenseSpot(U, W, F, Fraction(1), gamma)
+            spots.append(parse_spot_line(dump_spot_line(spot), spot.m, spot.gamma)
+                         if rng.random() < 0.5 else spot)
+        G = sorted(G)
+        reg = [e for e in G if rng.random() < captured_share]
+        g = graph_from_edges(n, G, G_reg=reg)
+        E = frozenset(v for v in range(n) if rng.random() < 0.2)
+        clusters = [frozenset(v for v in range(n) if rng.random() < 0.2)]
+        k, rho = rng.randint(1, 6), Fraction(1, rng.randint(1, 50))
+        cover, rep = clean_spots(g, spots, E, clusters, gamma, k, rho)
+        want, want_rep = tuple_clean_spots(g, spots, E, clusters, gamma, k, rho)
+        assert rep.render() == want_rep.render()
+        key = lambda s: (s.U, s.W, s.F, s.m, s.gamma,
+                         sorted((v, s.degree(v)) for v in s.vertices()))
+        assert [key(s) for s in cover] == [key(s) for s in want]
+        assert [(i, s and key(s)) for i, s in rep.absorption] == \
+            [(i, s and key(s)) for i, s in want_rep.absorption]
+
+    def test_edges_outside_the_graph_are_uncaptured(self):
+        """A spot edge with an end beyond n is never captured, even where its
+        code u*n + v would name a captured edge of the graph."""
+        g = graph_from_edges(4, [(1, 2), (0, 3)], G_reg=[(1, 2), (0, 3)])
+        spot = DenseSpot([0], [3, 6], [(0, 3), (0, 6)], Fraction(1, 2), Fraction(1, 2))
+        args = (g, [spot], frozenset(), [], Fraction(1, 2), 3, 1)
+        cover, rep = clean_spots(*args)
+        want, want_rep = tuple_clean_spots(*args)
+        assert rep.render() == want_rep.render()
+        assert [s.F for s in cover] == [s.F for s in want] == [frozenset({(0, 3)})]

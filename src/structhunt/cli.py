@@ -67,8 +67,18 @@ def cmd_shadow(args) -> int:
 
 def cmd_split(args) -> int:
     g = _read_graph(args.graph)
-    q = [Fraction(x) for x in args.q.split(",")]
-    split = random_split(g, g.vertices(), q, args.seed)
+    q = []
+    for x in args.q.split(","):
+        try:
+            q.append(Fraction(x))
+        except ValueError:
+            raise InputError("--q: bad fraction %r" % x) from None
+        except ZeroDivisionError:
+            raise InputError("--q: zero denominator in %r" % x) from None
+    try:
+        split = random_split(g, g.vertices(), q, args.seed)
+    except ValueError as exc:  # a negative fraction, or a sum above 1 or of 0
+        raise InputError("--q: %s" % exc) from None
     text = dump_split(split)
     if args.out:
         Path(args.out).write_text(text)

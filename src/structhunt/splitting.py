@@ -3,21 +3,36 @@
 The split itself is the probabilistic construction made explicit: an iid
 categorical assignment of each vertex, in ascending id order, from a seeded
 Mersenne Twister (see rng.py), so fixed seeds reproduce byte-identically.
+Each vertex takes one 53-bit draw r and joins the first nonzero class whose
+cumulative share, scaled by 2^53 and floored, exceeds r.  The draws of all m
+vertices come from one getrandbits(64 m) call.  CPython builds a k-bit draw
+from ceil(k/32) successive 32-bit generator outputs, least significant word
+first, and keeps only the top k mod 32 bits of a partial last word.  So a
+53-bit draw is w0 | (w1 >> 11) << 32 for two successive outputs w0, w1, and
+the 64 m-bit draw is the same 2m outputs in the same order: the split, and
+the generator's final state, are those of m getrandbits(53) calls.
+
 Verification is a separate step that measures every concentration clause on
 the actual instance: per-cluster and per-member splits, spot degrees, the
 per-vertex degree splitting over all membership cells, and the edge-count
 clauses, each with its fractional-power slack compared exactly.
 
-Verification is O(|E|) per layer: it reads the layer's directed form, both
-orientations of every edge as two int64 arrays kept by the graph, and the
-(vertex, cell), (vertex, class, cell) and (class, cell, class', cell')
-tallies are sort-based counts over it (numpy.unique), so
-memory stays linear in |E| however many classes and B-sets there are.  All
-comparisons are exact integer ones.  They run in int64 only when every
-operand and product provably stays below 2^62, and in Python integers
-otherwise, so large fraction denominators cannot wrap around.  The only
-floating-point comparison is the exp(-k^0.1) n cap on exceptional-set sizes
-(a transcendental bound); everything algebraic is exact.
+Verification sorts each layer once for clause (5) and once for clause (6).
+It reads the layer's directed form, both orientations of every edge as two
+int64 arrays kept by the graph.  Every vertex has a membership cell (a dense
+id of the set of Bs it lies in) and a class.  Clause (5) packs each directed
+edge into one (source, target's cell, target's class) key; the runs of the
+sorted keys give each (vertex, cell) degree and its split over the classes.
+Clause (6) counts the ((class, cell), (class, cell)) pairs of the edge ends
+the same way and spreads the counts over the Bs of each cell with one small
+integer matrix product.  Spot degrees (4) are one count over each spot's
+edge ends.  Memory stays linear in |E| however many classes and B-sets there
+are.  All comparisons are exact integer ones.  They run in int64 only when
+every operand, product and packed key provably stays below 2^62, and in
+Python integers (or sorted rows) otherwise, so large fraction denominators
+cannot wrap around.  The only floating-point comparison is the exp(-k^0.1) n
+cap on exceptional-set sizes (a transcendental bound); everything algebraic
+is exact.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .exactmath import floor_root, frac, ge_with_pow_slack, le_frac_pow
-from .graphcore import LayeredGraph, _members
+from .graphcore import LayeredGraph, _mask, _members, _union_codes
 from .regularity import RegularizedMatching, check_regular_pair
 from .report import Report
 from .rng import make_rng
@@ -77,31 +92,33 @@ def random_split(g: LayeredGraph, target, q, seed: int) -> Split:
     if total > 1:
         raise ValueError("fractions sum to %s > 1" % total)
     target = frozenset(target)
-    p = len(q)
     rng = make_rng(seed)
     if total == 0:
         if target:
             raise ValueError("all fractions zero with non-empty target")
         return Split(target, tuple(frozenset() for _ in q), q, seed)
-    # integer thresholds: draw r in [0, 2^53), assign the first class whose
-    # cumulative share (scaled by 2^53, floor) exceeds r
-    cumulative = []
+    # integer thresholds: a draw r in [0, 2^53) joins the first nonzero class
+    # whose cumulative share (scaled by 2^53, floor) exceeds r.  The last
+    # nonzero class's share is exactly 2^53, so it takes every r that the
+    # thresholds before it leave
+    nonzero = [i for i, x in enumerate(q) if x != 0]
+    thresholds = []
     acc = Fraction(0)
     for x in q:
         acc += x / total
-        cumulative.append(int(acc * TWO53))
-    buckets = [set() for _ in range(p)]
-    nonzero = [i for i in range(p) if q[i] != 0]
-    last = nonzero[-1]
-    for v in sorted(target):
-        r = rng.getrandbits(53)
-        for i in nonzero:
-            if r < cumulative[i]:
-                buckets[i].add(v)
-                break
-        else:
-            buckets[last].add(v)
-    return Split(target, tuple(frozenset(b) for b in buckets), q, seed)
+        if x != 0:
+            thresholds.append(int(acc * TWO53))
+    order = np.array(sorted(target), dtype=object)
+    m = order.size
+    words = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"),
+                          dtype="<u4").astype(np.int64)
+    draws = words[0::2] | (words[1::2] >> 11) << 32
+    picked = np.searchsorted(np.array(thresholds[:-1], dtype=np.int64), draws,
+                             side="right")
+    classes = [frozenset()] * len(q)
+    for t, i in enumerate(nonzero):
+        classes[i] = frozenset(order[picked == t].tolist())
+    return Split(target, tuple(classes), q, seed)
 
 
 def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
@@ -135,37 +152,63 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
     rep.add("(3) matching-member splits within k^0.9 slack", not bad_members,
             measured=len(bad_members), note="violators -> exceptional members")
 
-    # (4): one neighbour map per spot, one slack test per (class, degree)
+    # class per vertex (-1: none); class members outside 0..n-1 by id
+    cls = np.full(n, -1, dtype=np.int64)
+    stray = {}
+    for i, A in enumerate(split.classes):
+        inside = _members(A, n)
+        cls[inside] = i
+        if inside.size < len(A):
+            stray.update((v, i) for v in A if not 0 <= v < n)
+
+    def class_of(ids):
+        inside = (ids >= 0) & (ids < n)
+        c = np.full(ids.size, -1, dtype=np.int64)
+        c[inside] = cls[ids[inside].astype(np.int64, copy=False)]
+        if stray:
+            for t in np.flatnonzero(~inside).tolist():
+                c[t] = stray.get(int(ids[t]), -1)
+        return c
+
+    # (4): each spot's (vertex, class) degrees by one count over its edge
+    # ends, then one slack test per distinct (class, degree)
     vbar1 = set()
     spot_ok = {}
     for s in spots:
-        nbrs = {}
-        for a, b in s.F:
-            nbrs.setdefault(a, set()).add(b)
-            nbrs.setdefault(b, set()).add(a)
-        for v in s.U | s.W:
-            vn = nbrs.get(v, frozenset())
-            for i in range(p):
-                key = (i, len(vn & split.classes[i]))
-                ok = spot_ok.get(key)
+        verts = _int_array(sorted(s.U | s.W))
+        try:
+            lo, hi = s._edge_ends()
+        except OverflowError:  # an id beyond int64
+            lo, hi = (_int_array(end) for end in zip(*s.F))
+        src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        c = class_of(dst)
+        at = np.searchsorted(verts, src)
+        hit = (c >= 0) & (at < verts.size)
+        hit[hit] = verts[at[hit]] == src[hit]
+        deg = np.bincount(at[hit] * p + c[hit],
+                          minlength=verts.size * p).reshape(-1, p)
+        bad = np.zeros(verts.size, dtype=bool)
+        for i in range(p):
+            failing = []
+            for d in np.unique(deg[:, i]).tolist():
+                ok = spot_ok.get((i, d))
                 if ok is None:
-                    ok = spot_ok[key] = ge_with_pow_slack(key[1], q[i] * gamma * k,
-                                                          k, 9, 10)
+                    ok = spot_ok[i, d] = ge_with_pow_slack(d, q[i] * gamma * k,
+                                                           k, 9, 10)
                 if not ok:
-                    vbar1.add(v)
-                    break
+                    failing.append(d)
+            if failing:
+                bad |= np.isin(deg[:, i], failing)
+        vbar1.update(verts[bad].tolist())
     rep.add("(4) spot degrees into classes within k^0.9 slack", not vbar1,
             measured=len(vbar1), note="violators -> Vbar")
 
-    # membership cell (dense id over the Bs) and class (-1: none) per vertex
+    # membership cell (dense id over the Bs) per vertex, and the Bs of each
+    # cell as a 0/1 matrix
     Bs = [frozenset(B) for B in Bs]
     nb = len(Bs)
-    cell, cell_bits = _cells(Bs, n)
-    ncell = len(cell_bits)
-    cls = np.full(n, -1, dtype=np.int64)
-    for i, A in enumerate(split.classes):
-        cls[_members(A, n)] = i
-    side = cls * ncell + cell   # (class, cell) id; negative outside the classes
+    cell, cell_member = _cells(Bs, n)
+    ncell = len(cell_member)
 
     # (5): the check "got >= q_i degBJ - 2^-p k^0.9" is cleared of
     # denominators once per class: with q_i = num/den it becomes
@@ -183,28 +226,39 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
     for layer in layers:
         form = g._directed(layer)
         src, dst = form.rows, form.cols
-        cls_dst = cls[dst]
-        has_cls = cls_dst >= 0
-        # degBJ per (vertex, cell) group, then got per (group, class)
-        vx, _, grp, degBJ = _count_pairs(src, cell[dst], ncell)
-        gi, ci, _, cnt = _count_pairs(grp[has_cls], cls_dst[has_cls], p)
-        per_class = np.zeros((len(vx), p), dtype=np.int64)
-        per_class[gi, ci] = cnt
+        # distinct (vertex, target cell, target class + 1) with counts; the
+        # (vertex, cell) groups are runs of them, got[class + 1, group]
+        vx, rest, count = _tally_pairs(src, cell[dst] * (p + 1) + cls[dst] + 1,
+                                       ncell * (p + 1))
+        cl, ce = rest % (p + 1), rest // (p + 1)
+        start = np.ones(vx.size, dtype=bool)
+        start[1:] = (vx[1:] != vx[:-1]) | (ce[1:] != ce[:-1])
+        group = np.cumsum(start) - 1
+        got = np.zeros((p + 1, np.count_nonzero(start)), dtype=np.int64)
+        got[cl, group] = count
+        degBJ = got.sum(axis=0)
         maxdeg = int(degBJ.max()) if degBJ.size else 0
-        bad = np.zeros(len(vx), dtype=bool)
+        bad = np.zeros(degBJ.size, dtype=bool)
         for i, num, den, fl in slack_floor:
-            deg_i, got_i = degBJ, per_class[:, i]
+            deg_i, got_i = degBJ, got[i + 1]
             if max(abs(num), den) * maxdeg >= INT64_SAFE or fl >= INT64_SAFE:
                 deg_i, got_i = deg_i.astype(object), got_i.astype(object)
             bad |= np.asarray(num * deg_i - got_i * den > fl, dtype=bool)
-        vbar2.update(vx[bad].tolist())
-        # (6) inputs: ordered pairs by cell, and by (class, cell) on both ends
-        both = has_cls & (cls[src] >= 0)
-        e_b = {(j, j2): c for (_, j, _, j2), c in
-               _edge_cells(cell[src], cell[dst], ncell, ncell, cell_bits).items()}
-        e_bd = _edge_cells(side[src][both], side[dst][both], p * ncell, ncell,
-                           cell_bits)
-        edge_cells.append((e_bd, e_b))
+        vbar2.update(vx[start][bad].tolist())
+        # (6) inputs: e[a, b, j, j2] counts the ordered pairs from A_{a-1}
+        # cap B_j to A_{b-1} cap B_j2 (class 0: in no class).  Count the
+        # distinct (class pair, cell pair)s once; each class pair's run is
+        # spread over the Bs of its cells by one matrix product
+        pair, cells, count = _tally_pairs(
+            (cls[src] + 1) * (p + 1) + cls[dst] + 1,
+            cell[src] * ncell + cell[dst], ncell * ncell)
+        e = np.zeros(((p + 1) ** 2, nb, nb), dtype=np.int64)
+        starts = np.flatnonzero(np.diff(pair, prepend=-1)).tolist()
+        for a, b in zip(starts, starts[1:] + [pair.size]):
+            cx, cy = np.divmod(cells[a:b], ncell)
+            e[pair[a]] = cell_member[cx].T @ (cell_member[cy] * count[a:b, None])
+        e = e.reshape(p + 1, p + 1, nb, nb)
+        edge_cells.append((e[1:, 1:].tolist(), e.sum(axis=(0, 1)).tolist()))
     rep.add("(5) per-vertex degree splitting within 2^-p k^0.9 slack", not vbar2,
             measured=len(vbar2), note="violators -> Vbar")
 
@@ -223,17 +277,20 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
             sum(len(c) for c in bad_clusters) <= cap,
             measured=sum(len(c) for c in bad_clusters), needed=cap)
 
-    ok_sizes = True
-    for i in range(p):
+    # |A_i cap B_j|: the vertices by (class + 1, cell), spread over the Bs,
+    # plus the class members outside 0..n-1
+    inter = (np.bincount((cls + 1) * ncell + cell, minlength=(p + 1) * ncell)
+             .reshape(p + 1, ncell) @ cell_member)[1:].tolist()
+    for v, i in stray.items():
         for j, B in enumerate(Bs):
-            got = len(split.classes[i] & B)
-            if not ge_with_pow_slack(got, q[i] * len(B), n, 9, 10):
-                ok_sizes = False
+            inter[i][j] += v in B
+    ok_sizes = all(ge_with_pow_slack(inter[i][j], q[i] * len(B), n, 9, 10)
+                   for i in range(p) for j, B in enumerate(Bs))
     rep.add("(sizes) |A_i cap B_j| >= q_i |B_j| - n^0.9", ok_sizes)
 
     def edge_ok(e_bd, e_b, i, i2, j, j2):
-        want = q[i] * q[i2] * e_b.get((j, j2), 0)
-        got = e_bd.get((i, j, i2, j2), 0)
+        want = q[i] * q[i2] * e_b[j][j2]
+        got = e_bd[i][i2][j][j2]
         if j == j2:
             # same-cell variants compare against the induced count
             # e(H[B_j]) = ordered/2; for i = i2 the left side is induced too
@@ -262,20 +319,37 @@ def _ge_kn_slack(got, want, kn) -> bool:
     return le_frac_pow(shortfall, kn, 3, 5)
 
 
-def _cells(Bs, n):
-    """Dense membership-cell id per vertex, and each cell's sorted B-indices.
+def _int_array(ids):
+    """A sequence of integers as an int64 array, or as an object array
+    when one does not fit int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
 
-    Ids are re-densified after each B, so they stay below n for any number
-    of Bs; vertices in exactly the same Bs share a cell.
+
+def _cells(Bs, n):
+    """Dense membership-cell id per vertex, and each cell's row of the
+    vertex-by-B membership matrix (as 0/1 int64).
+
+    A vertex's code sets bit nb-1-j when it lies in B_j, so ids follow the
+    lexicographic order of membership rows, B_0 first; vertices in exactly
+    the same Bs share a cell.  Codes take at most 62 - bits(n) Bs at a time
+    and are re-densified after each chunk, so they fit int64 for any number
+    of Bs.
     """
     member = np.zeros((n, len(Bs)), dtype=bool)
     for j, B in enumerate(Bs):
         member[_members(B, n), j] = True
     cell = np.zeros(n, dtype=np.int64)
-    for j in range(len(Bs)):
-        cell = np.unique(2 * cell + member[:, j], return_inverse=True)[1]
-    first = np.unique(cell, return_index=True)[1]
-    return cell, [np.flatnonzero(row).tolist() for row in member[first]]
+    chunk = 62 - n.bit_length()
+    for first in range(0, len(Bs), chunk):
+        for column in member[:, first:first + chunk].T:
+            cell = 2 * cell + column
+        cell = np.unique(cell, return_inverse=True)[1]
+    example = np.zeros(cell.max(initial=-1) + 1, dtype=np.int64)
+    example[cell] = np.arange(n)   # any vertex of the cell: all share its row
+    return cell, member[example].astype(np.int64)
 
 
 def _count_pairs(a, b, size_b):
@@ -295,23 +369,18 @@ def _count_pairs(a, b, size_b):
     return rows[:, 0], rows[:, 1], which.reshape(-1), count
 
 
-def _edge_cells(side_a, side_b, size, ncell, cell_bits):
-    """Ordered-pair counts keyed (i, j, i', j') over endpoint ids i*ncell+cell.
-
-    Each distinct (side_a, side_b) pair is expanded once over the B-indices
-    of its two cells: the result counts ordered pairs with the first
-    endpoint in A_i cap B_j and the second in A_i' cap B_j'.
-    """
-    out = {}
-    xs, ys, _, count = _count_pairs(side_a, side_b, size)
-    for x, y, c in zip(xs.tolist(), ys.tolist(), count.tolist()):
-        i, cx = divmod(x, ncell)
-        i2, cy = divmod(y, ncell)
-        for j in cell_bits[cx]:
-            for j2 in cell_bits[cy]:
-                key = (i, j, i2, j2)
-                out[key] = out.get(key, 0) + c
-    return out
+def _tally_pairs(a, b, size_b):
+    """(pa, pb, count) of _count_pairs, by one sort of the packed keys and
+    without the index of each input's pair."""
+    if a.size and (int(a.max()) + 1) * size_b >= INT64_SAFE:
+        pa, pb, _, count = _count_pairs(a, b, size_b)
+        return pa, pb, count
+    keys = np.sort(a * size_b + b)
+    start = np.ones(keys.size, dtype=bool)
+    start[1:] = keys[1:] != keys[:-1]
+    at = np.flatnonzero(start)
+    keys = keys[at]
+    return keys // size_b, keys % size_b, np.diff(np.append(at, start.size))
 
 
 def proportional_split(bundle, p0, p1, p2, seed: int) -> tuple:
@@ -340,18 +409,19 @@ def proportional_split(bundle, p0, p1, p2, seed: int) -> tuple:
           bundle.exp_support, bundle.E, bundle.V_to_E, bundle.J_E, bundle.L,
           bundle.L_sharp, bundle.V_not_to_H]
 
-    h_incident = g.edges_between("G_nabla", H, g.vertices())
-    gstar_edges = (g.edges("G_nabla") - h_incident) | g.edges("G_D")
-    gw = g.with_layer("G_star", gstar_edges)
+    h_incident = g._codes_between("G_nabla", H, g.vertices())
+    gw = g._with_codes("G_star", _union_codes(
+        np.setdiff1d(g._codes("G_nabla"), h_incident, assume_unique=True),
+        g._codes("G_D")))
     E = bundle.E
-    bd_captured = (gw.edges(bundle.sd.bd.reg_layer) | gw.edges(bundle.sd.bd.exp_layer)
-                   | gw.edges_between("G_D", E, E | bundle.sd.bd.cluster_union()))
-    gw = gw.with_layer("G_nabla_bd", bd_captured)
-    layers = ["G_star", "G_nabla_bd", bundle.sd.bd.exp_layer, "G_D",
-              "G_nabla_bd+G_D"]
+    bd = bundle.sd.bd
+    gw = gw._with_codes("G_nabla_bd", _union_codes(
+        gw._codes(bd.reg_layer), gw._codes(bd.exp_layer),
+        gw._codes_between("G_D", E, E | bd.cluster_union())))
+    layers = ["G_star", "G_nabla_bd", bd.exp_layer, "G_D", "G_nabla_bd+G_D"]
 
-    rep = verify_split(split, gw, layers=layers, spots=bundle.sd.bd.spots,
-                       matching=bundle.MAB(), clusters=bundle.sd.bd.clusters,
+    rep = verify_split(split, gw, layers=layers, spots=bd.spots,
+                       matching=bundle.MAB(), clusters=bd.clusters,
                        Bs=Bs, k=k, gamma=p.gamma)
 
     partners = []
@@ -434,17 +504,20 @@ def restrict_matching(N: RegularizedMatching, split: Split, i: int,
     if out_pairs:
         inside = frozenset().union(*[a | b for a, b in out_pairs])
     vN_i = N.vertices() & Ai
-    leftover = vN_i - inside
-    worst = 0
     thr = eta * eta * k / 10**5
-    ok_left = True
-    for v in range(g.n):
-        if v in split.F_shadow:
-            continue
-        dv = g.deg("G_D", v, leftover) if g.has_layer("G_D") else 0
-        worst = max(worst, dv)
-        if dv > thr:
-            ok_left = False
+    worst, ok_left = _leftover_degree(g, split.F_shadow, vN_i - inside, thr)
     rep.add("leftover degree <= eta^2 k / 10^5 outside F", ok_left,
             measured=worst, needed=thr)
     return out, rep
+
+
+def _leftover_degree(g: LayeredGraph, F, leftover, thr) -> tuple:
+    """(worst, ok): the largest G_D-degree into leftover of a vertex outside
+    F (0 if none is larger, or G_D is absent), and whether none exceeds thr."""
+    if not g.has_layer("G_D"):
+        degrees = np.zeros(g.n, dtype=np.int64)
+    else:
+        degrees = g._degrees("G_D", leftover)
+    outside = degrees[~_mask(F, g.n)]
+    return (int(outside.max(initial=0)),
+            not outside.size or int(outside.max()) <= thr)

@@ -1,12 +1,18 @@
-"""Loop-form reference for split verification.
+"""Loop-form references for splitting.
 
-This is verify_split as first written: clause (4) rescans each spot's edge
-set for every (vertex, class) pair, clause (5) walks every vertex's
-adjacency and tallies its neighbours per membership cell in dicts, and
-clause (6) expands every edge's B-membership bits in Python.  It computes
-the same report items and exceptional sets as the vectorised
+oracle_verify_split is verify_split as first written: clause (4) rescans
+each spot's edge set for every (vertex, class) pair, clause (5) walks every
+vertex's adjacency and tallies its neighbours per membership cell in dicts,
+and clause (6) expands every edge's B-membership bits in Python.  It
+computes the same report items and exceptional sets as the vectorised
 structhunt.splitting.verify_split and shares none of its counting code, so
 the two cross-check each other at desk scale.
+
+loop_random_split draws one getrandbits(53) per vertex, loop_cells
+re-densifies the membership cells after each B, and loop_leftover_degree
+asks deg(v, leftover) of every vertex: the forms that random_split, _cells
+and restrict_matching's leftover-degree clause had before they were
+batched.
 """
 
 from __future__ import annotations
@@ -14,8 +20,78 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from structhunt.exactmath import floor_root, frac, ge_with_pow_slack, le_frac_pow
+from structhunt.graphcore import _members
 from structhunt.report import Report
+from structhunt.rng import make_rng
+from structhunt.splitting import Split
+
+TWO53 = 1 << 53
+
+
+def loop_random_split(g, target, q, seed: int) -> Split:
+    """random_split with one getrandbits(53) draw and one set insert per
+    vertex, ascending id order."""
+    q = tuple(frac(x) for x in q)
+    if any(x < 0 for x in q):
+        raise ValueError("negative fraction")
+    total = sum(q)
+    if total > 1:
+        raise ValueError("fractions sum to %s > 1" % total)
+    target = frozenset(target)
+    p = len(q)
+    rng = make_rng(seed)
+    if total == 0:
+        if target:
+            raise ValueError("all fractions zero with non-empty target")
+        return Split(target, tuple(frozenset() for _ in q), q, seed)
+    cumulative = []
+    acc = Fraction(0)
+    for x in q:
+        acc += x / total
+        cumulative.append(int(acc * TWO53))
+    buckets = [set() for _ in range(p)]
+    nonzero = [i for i in range(p) if q[i] != 0]
+    last = nonzero[-1]
+    for v in sorted(target):
+        r = rng.getrandbits(53)
+        for i in nonzero:
+            if r < cumulative[i]:
+                buckets[i].add(v)
+                break
+        else:
+            buckets[last].add(v)
+    return Split(target, tuple(frozenset(b) for b in buckets), q, seed)
+
+
+def loop_cells(Bs, n):
+    """(cell, cell_bits): dense membership-cell ids, re-densified after each
+    B, and each cell's sorted B-indices."""
+    member = np.zeros((n, len(Bs)), dtype=bool)
+    for j, B in enumerate(Bs):
+        member[_members(B, n), j] = True
+    cell = np.zeros(n, dtype=np.int64)
+    for j in range(len(Bs)):
+        cell = np.unique(2 * cell + member[:, j], return_inverse=True)[1]
+    first = np.unique(cell, return_index=True)[1]
+    return cell, [np.flatnonzero(row).tolist() for row in member[first]]
+
+
+def loop_leftover_degree(g, F, leftover, thr) -> tuple:
+    """(worst, ok) of restrict_matching's leftover-degree clause, one
+    deg(v, leftover) per vertex v outside F."""
+    worst = 0
+    ok_left = True
+    for v in range(g.n):
+        if v in F:
+            continue
+        dv = g.deg("G_D", v, leftover) if g.has_layer("G_D") else 0
+        worst = max(worst, dv)
+        if dv > thr:
+            ok_left = False
+    return worst, ok_left
 
 
 def oracle_verify_split(split, g, layers=("G",), spots=(), matching=None,

@@ -65,6 +65,17 @@ class TestInputErrors:
                                       "--layers", "G,G_nope", "--sets", "0/4/5",
                                       "--k", "1"], "'G_nope'")
 
+    @pytest.mark.parametrize("q, error", [
+        ("1/2,abc", "--q: bad fraction 'abc'"),
+        ("2/3,2/3", "--q: fractions sum to 4/3 > 1"),
+        ("-1/2,3/2", "--q: negative fraction"),
+        ("0,0", "--q: all fractions zero with non-empty target"),
+        ("1/0", "--q: zero denominator in '1/0'")])
+    def test_bad_split_fractions(self, tmp_path, capsys, q, error):
+        path = write_graph(tmp_path, K44)
+        self._one_line_error(capsys, ["split", "--graph", path, "--q=" + q],
+                             "structhunt: error: " + error)
+
     def test_bad_graph_in_instance_dir(self, tmp_path, capsys):
         (tmp_path / "graph.txt").write_text("n 2\nlayer G\n0 5\n")
         self._one_line_error(capsys, ["hunt-config", str(tmp_path)],

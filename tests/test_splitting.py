@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracle_split import oracle_verify_split
+from oracle_split import (loop_cells, loop_leftover_degree, loop_random_split,
+                          oracle_verify_split)
+from structhunt import splitting
 from structhunt.graphcore import LayeredGraph
 from structhunt.regularity import RegularizedMatching
-from structhunt.splitting import (_count_pairs, random_split, restrict_matching,
-                                  verify_split)
+from structhunt.splitting import (_cells, _count_pairs, _leftover_degree,
+                                  random_split, restrict_matching, verify_split)
 from structhunt.spots import DenseSpot
 from util import complete_bipartite, graph_from_edges, random_graph
 
@@ -60,6 +63,54 @@ class TestRandomSplit:
             hits.append(len(s.classes[0] & B))
         mean = sum(hits) / len(hits)
         assert abs(mean - 50) < 8  # 3+ sigma band for Bin(200, 1/4) averages
+
+
+@st.composite
+def split_inputs(draw):
+    """(target, q, seed): 1-10 classes, zero fractions and deficits, and
+    targets empty, contiguous, sparse, or with ids beyond the graph, above
+    2^53 and above 2^63."""
+    p = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.integers(0, 4), min_size=p, max_size=p))
+    total = sum(weights) + draw(st.sampled_from([0, 0, 1, 10 ** 20 + 7]))
+    q = [Fraction(w, total or 1) for w in weights]
+    target = draw(st.one_of(
+        st.just(frozenset()),
+        st.integers(1, 60).map(range),
+        st.frozensets(st.integers(0, 60)),
+        st.frozensets(st.one_of(st.integers(-5, 80),
+                                st.integers(2 ** 53 - 3, 2 ** 53 + 3),
+                                st.integers(2 ** 63 - 2, 2 ** 70)))))
+    return target, q, draw(st.integers(-2 ** 70, 2 ** 70))
+
+
+class TestRandomSplitAgainstLoop:
+    G = random_graph(40, 0.2, 0)
+
+    @given(split_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_loop(self, case):
+        target, q, seed = case
+        outs = []
+        for draw in (random_split, loop_random_split):
+            try:
+                s = draw(self.G, target, q, seed)
+                outs.append((s.classes, s.target, s.fractions))
+            except ValueError as exc:
+                outs.append(str(exc))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_draw_on_a_threshold_joins_the_next_class(self, seed):
+        # the first class's threshold is exactly the draw of vertex seed % 5,
+        # and "exceeds r" is strict, so that vertex joins the next nonzero class
+        rng = random.Random(seed)
+        r = [rng.getrandbits(53) for _ in range(5)][seed % 5]
+        share = Fraction(r, 2 ** 53)
+        q = [share, 1 - share] if seed % 2 else [share, Fraction(0), 1 - share]
+        s = random_split(self.G, range(5), q, seed)
+        assert seed % 5 in s.classes[-1]
+        assert s.classes == loop_random_split(self.G, range(5), q, seed).classes
 
 
 class TestVerifySplit:
@@ -169,7 +220,64 @@ def _random_case(rng):
                           clusters=clusters, Bs=Bs, k=k, gamma=gamma)
 
 
+STRAY = (-3, -1, 2 ** 40, 2 ** 70)   # with n, n + 2: ids outside 0..n-1
+
+
+def _stray_case(rng):
+    """_random_case with ids outside 0..n-1 in the split's target (so in its
+    classes), in the Bs and in the spots, whose edges also leave U x W."""
+    split, g, kw = _random_case(rng)
+    n = g.n
+    stray = list(STRAY) + [n, n + 2]
+    extra = frozenset(rng.sample(stray, rng.randrange(len(stray) + 1)))
+    split = random_split(g, split.target | extra, split.fractions, split.seed)
+    kw["Bs"] = [B | frozenset(rng.sample(stray, 2)) for B in kw["Bs"]]
+    pool = list(range(n)) + stray
+    spots = []
+    for _ in range(rng.randrange(1, 4)):
+        U = frozenset(rng.sample(pool, rng.randrange(len(pool) // 2 + 1)))
+        W = frozenset(rng.sample(pool, rng.randrange(len(pool) // 2 + 1))) - U
+        F = {(u, w) for u in U for w in W if rng.random() < 0.6}
+        F |= {tuple(rng.sample(pool, 2)) for _ in range(rng.randrange(8))}
+        spots.append(DenseSpot(U, W, F, 1, Fraction(1, 2)))
+    kw["spots"] = spots
+    return split, g, kw
+
+
 class TestVerifySplitOracle:
+    def test_stray_ids_match_loop_oracle(self):
+        rng = random.Random(20261019)
+        stray_flagged = 0
+        for case in range(200):
+            split, g, kw = _stray_case(rng)
+            fast, slow = _both_ways(split, g, **kw)
+            assert fast == slow, "case %d" % case
+            stray_flagged += any(not 0 <= v < g.n for v in fast[1])
+        assert stray_flagged >= 20
+
+    def test_unpackable_keys_match_loop_oracle(self, monkeypatch):
+        # with the int64 bound at 1 every count takes its fallback: rows
+        # sorted by _count_pairs, and clause (5) in Python integers
+        monkeypatch.setattr(splitting, "INT64_SAFE", 1)
+        rng = random.Random(20261020)
+        for case in range(100):
+            split, g, kw = (_stray_case if case % 2 else _random_case)(rng)
+            fast, slow = _both_ways(split, g, **kw)
+            assert fast == slow, "case %d" % case
+
+    def test_cells_match_loop(self):
+        # 61 and 130 Bs take more than one 62 - bits(n) chunk of membership bits
+        rng = random.Random(20261021)
+        for case in range(150):
+            n = rng.choice([0, 1, 7, 40, 300])
+            share = rng.choice([0.1, 0.5, 0.9])
+            Bs = [frozenset(v for v in range(-2, n + 2) if rng.random() < share)
+                  for _ in range(rng.choice([0, 1, 3, 10, 61, 130]))]
+            cell, member = _cells(Bs, n)
+            loop_cell, bits = loop_cells(Bs, n)
+            assert cell.tolist() == loop_cell.tolist(), "case %d" % case
+            assert [np.flatnonzero(row).tolist() for row in member] == bits
+
     def test_matches_loop_oracle(self):
         rng = random.Random(20261018)
         verdicts = set()
@@ -266,6 +374,20 @@ class TestRestrictMatching:
                                 Fraction(1, 8), Fraction(1, 2), 4)
         out, _ = restrict_matching(m, s, 0, g, self._params())
         assert len(out) == 0
+
+    def test_leftover_degree_matches_loop(self):
+        rng = random.Random(20261022)
+        for case in range(200):
+            n = rng.randrange(0, 30)
+            g = random_graph(n, 0.3, case)
+            if rng.random() < 0.7:
+                g = g.with_layer("G_D", [e for e in g.edges() if rng.random() < 0.6])
+            F = (frozenset(range(n)) if rng.random() < 0.2 else
+                 _random_subset(rng, range(n), 0.3)) | {-1, n}
+            leftover = _random_subset(rng, range(-2, n + 2), 0.5)
+            thr = rng.choice([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(3)])
+            assert _leftover_degree(g, F, leftover, thr) == \
+                loop_leftover_degree(g, F, leftover, thr), "case %d" % case
 
 
 class TestProportionalSplit:

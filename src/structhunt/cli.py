@@ -46,7 +46,7 @@ def _read_graph(path, *specs) -> LayeredGraph:
         raise InputError("%s: %s" % (path, exc)) from None
     for spec in specs:
         try:
-            g.edges(spec)
+            g._codes(spec)
         except (KeyError, ValueError) as exc:
             raise InputError("layer spec %r: %s" % (spec, exc.args[0])) from None
     return g

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .exactmath import cmp_ge, cmp_le, frac
-from .graphcore import (LayeredGraph, _Layer, _bulk_codes, _distinct,
+from .graphcore import (LayeredGraph, _bulk_codes, _code_graph, _distinct,
                          _isin_sorted, _mask, _sized, _vertices_where)
 from .regularity import (RegularizedGraph, RegularizedMatching, Sampled,
                          check_m_cover, check_super_regular,
@@ -264,7 +264,7 @@ def _witness_graph(n: int, edges) -> LayeredGraph:
     codes = _bulk_codes(edges, n)
     if codes is None:
         return LayeredGraph(n, {"G": frozenset(tuple(sorted(e)) for e in edges)})
-    return LayeredGraph._validated(n, {"G": _Layer(n, _distinct(codes))})
+    return _code_graph(n, _distinct(codes))
 
 
 def _absorbed_by_pairs(N: RegularizedMatching, host_pairs) -> bool:

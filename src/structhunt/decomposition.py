@@ -13,11 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .exactmath import frac
-from .graphcore import LayeredGraph, _support, _union_codes, norm_edge
+from .graphcore import (_NO_CODES, LayeredGraph, _code_graph, _isin_sorted,
+                        _members, _support, _union_codes)
 from .regularity import check_regular_pair
 from .report import Report
-from .spots import DenseCover, certify_nowhere_dense, check_avoiding, is_dense_spot
+from .spots import (DenseCover, _cover_codes, _spot_codes, certify_nowhere_dense,
+                    check_avoiding, is_dense_spot)
 
 
 @dataclass(frozen=True)
@@ -93,15 +97,14 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
             raise ValueError("clusters overlap")
         seen |= C
 
-    exp_edges = g.edges(bd.exp_layer)
+    exp_codes = g._codes(bd.exp_layer)
     exp_support = _support(g, bd.exp_layer)
-    if exp_edges:
-        exp_graph = LayeredGraph(g.n, {"G": exp_edges})
-        mind = exp_graph.mindeg("G", exp_support)
+    if exp_codes.size:
+        mind = g.mindeg(bd.exp_layer, exp_support)
         nd_ok = None
         if g.n <= nd_cap or mode == "heuristic":
             try:
-                nd_rep = certify_nowhere_dense(exp_graph, "G", gamma * k, gamma,
+                nd_rep = certify_nowhere_dense(g, bd.exp_layer, gamma * k, gamma,
                                                mode="exact" if g.n <= nd_cap else "heuristic",
                                                cap=nd_cap)
                 nd_ok = nd_rep.ok
@@ -111,7 +114,7 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
                 note="exact" if g.n <= nd_cap else "heuristic/skipped")
         rep.add("1. mindeg(G_exp) > rho k", mind > rho * k, measured=mind,
                 needed=rho * k)
-        rep.add("1. G_exp inside G", exp_edges <= g.edges("G"))
+        rep.add("1. G_exp inside G", bool(_isin_sorted(exp_codes, g._codes()).all()))
     else:
         rep.add("1. G_exp nowhere-dense", True, note="empty layer")
         rep.add("1. mindeg(G_exp) > rho k", True, note="vacuous: no edges")
@@ -120,31 +123,29 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
     rep.add("2. clusters disjoint", True)  # raised above otherwise
     rep.add("2. clusters inside universe", all(C <= V for C in bd.clusters))
 
-    reg_edges = g.edges(bd.reg_layer)
     cu = bd.cluster_union()
-    locate = {}
+    where = np.full(g.n, -1, dtype=np.int64)  # cluster index per vertex
     for i, C in enumerate(bd.clusters):
-        for v in C:
-            locate[v] = i
-    ok3 = True
-    note3 = ""
+        where[_members(C, g.n)] = i
+    reg = g._directed(bd.reg_layer)
+    low, high = np.sort([where[reg.u], where[reg.v]], axis=0)
+    bad = (low < 0) | (low == high) | _isin_sorted(g._codes(bd.reg_layer), exp_codes)
+    ok3, note3 = not bad.any(), ""
     undecided = []  # pairs whose certificate is indeterminate
-    reg_cluster_pairs = set()
-    for u, v in reg_edges:
-        if norm_edge(u, v) in exp_edges or u not in locate or v not in locate \
-                or locate[u] == locate[v]:
-            ok3, note3 = False, "edge %r breaks layering/cluster rules" % ((u, v),)
-            break
-        reg_cluster_pairs.add((min(locate[u], locate[v]), max(locate[u], locate[v])))
-    if ok3:
-        for (i, j) in sorted(reg_cluster_pairs):
+    reg_cluster_pairs = []
+    if not ok3:
+        at = int(bad.argmax())
+        note3 = "edge %r breaks layering/cluster rules" % ((int(reg.u[at]), int(reg.v[at])),)
+    else:
+        nc = len(bd.clusters)
+        reg_cluster_pairs = [divmod(c, nc) for c in np.unique(low * nc + high).tolist()]
+        for (i, j) in reg_cluster_pairs:
             Ci, Cj = bd.clusters[i], bd.clusters[j]
-            between_g = g.edges_between("G", Ci, Cj)
-            between_reg = g.edges_between(bd.reg_layer, Ci, Cj)
-            if between_g != between_reg:
+            between = g._codes_between("G", Ci, Cj)
+            if not np.array_equal(between, g._codes_between(bd.reg_layer, Ci, Cj)):
                 ok3, note3 = False, "G[C%d,C%d] != G_reg[C%d,C%d]" % (i, j, i, j)
                 break
-            dens = Fraction(len(between_g), len(Ci) * len(Cj))
+            dens = Fraction(between.size, len(Ci) * len(Cj))
             if dens < gamma * gamma:
                 ok3, note3 = False, "pair (C%d,C%d) density %s < gamma^2" % (i, j, dens)
                 break
@@ -173,29 +174,33 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
 
     spot_ok = True
     note5 = ""
-    seen_edges = set()
+    inner = g._codes("G-" + bd.exp_layer)
+    seen = _NO_CODES  # the edges of the spots that passed, all inside G
     for idx, s in enumerate(bd.spots):
         r = is_dense_spot(s)
-        md_ok = r.ok
-        if not md_ok:
+        if not r.ok:
             spot_ok, note5 = False, "spot %d fails (gamma k, gamma) clauses" % idx
             break
         # enforce the (gamma k, gamma) parameters regardless of stored ones
-        dens = Fraction(len(s.F), len(s.U) * len(s.W))
-        mind = min(s.degree(v) for v in s.vertices())
-        if not (dens > gamma and mind > gamma * k):
+        if not (r["density > gamma"].measured > gamma
+                and r["mindeg > m"].measured > gamma * k):
             spot_ok, note5 = False, "spot %d not (gamma k, gamma)-dense" % idx
             break
-        if s.F & seen_edges:
+        codes = _spot_codes(s, g.n)
+        if _isin_sorted(codes, seen).any():
             spot_ok, note5 = False, "spot %d shares edges" % idx
             break
-        if s.F & exp_edges:
-            spot_ok, note5 = False, "spot %d uses G_exp edges" % idx
+        if not (codes.size == s._ends[0].size and _isin_sorted(codes, inner).all()):
+            spot_ok = False
+            note5 = "spot %d %s" % (idx, "uses G_exp edges"
+                                    if _isin_sorted(codes, exp_codes).any()
+                                    else "has edges outside G")
             break
-        seen_edges |= s.F
+        seen = _union_codes(seen, codes)
     if spot_ok:
         for idx, s in enumerate(bd.spots):
-            if not g.edges_between("G-" + bd.exp_layer, s.U, s.W) <= seen_edges:
+            if not _isin_sorted(g._codes_between("G-" + bd.exp_layer, s.U, s.W),
+                                seen).all():
                 spot_ok = False
                 note5 = "spot %d: G[U,W] not covered by the family" % idx
                 break
@@ -203,7 +208,7 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
             spot_ok, note=note5)
 
     ok6 = True
-    for (i, j) in sorted(reg_cluster_pairs) if ok3 else []:
+    for (i, j) in reg_cluster_pairs if ok3 else []:
         Ci, Cj = bd.clusters[i], bd.clusters[j]
         if not any((Ci <= s.U and Cj <= s.W) or (Ci <= s.W and Cj <= s.U)
                    for s in bd.spots):
@@ -258,19 +263,17 @@ def validate_sparse(sd: SparseDecomposition, g: LayeredGraph, p: Params,
     else:
         rep.add("1. mindeg_G(H) >= Omega** k", True, note="H empty")
 
-    K_edges = (sd.bd.spots.edge_union() | g.edges(sd.bd.exp_layer)
-               | g.edges_between("G", H, g.vertices()))
-    if K_edges:
-        kg = LayeredGraph(g.n, {"G": K_edges})
-        rest = g.vertices() - H
-        maxd = kg.maxdeg("G", rest)
+    K = _union_codes(_cover_codes(sd.bd.spots, g.n), g._codes(sd.bd.exp_layer),
+                     g._codes_between("G", H, g.vertices()))
+    if K.size:
+        maxd = _code_graph(g.n, K).maxdeg("G", g.vertices() - H)
         rep.check_le("1. maxdeg_K(V \\ H) <= Omega* k", maxd, p.omega_star * k)
     else:
         rep.add("1. maxdeg_K(V \\ H) <= Omega* k", True, note="K empty")
 
     structural = (not (sd.bd.E & H) and not (sd.bd.cluster_union() & H) and
-                  not any(u in H or v in H for u, v in g.edges(sd.bd.exp_layer)) and
-                  not any(u in H or v in H for u, v in g.edges(sd.bd.reg_layer)) and
+                  not g._degrees("%s+%s" % (sd.bd.exp_layer, sd.bd.reg_layer))[
+                      _members(H, g.n)].any() and
                   not any(s.vertices() & H for s in sd.bd.spots))
     rep.add("2. bounded decomposition avoids H", structural)
     sub = validate_bounded(sd.bd, g, p, mode=mode, universe=g.vertices() - H,

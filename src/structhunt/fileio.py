@@ -20,7 +20,8 @@ InstanceFormatError naming the line (line 0 for the file as a whole);
 load_instance_dir adds the file's path.  Ids are checked against the graph:
 H, E, clusters, spot sides and edges and matching members must be vertices
 0..n-1, and so must witness edges when parse_witness is given n; an edge
-"a-b" needs a != b.
+"a-b" needs a != b.  load_instance_dir also requires every spot edge to be
+an edge of G, and names the line of the first spot with another.
 
 Bulk reading.  Each of these is read in bulk when it is in the canonical
 form its dumper writes, with numpy checks over its bytes that are linear in
@@ -53,10 +54,10 @@ import numpy as np
 from .configurations import ConfigParams, ConfigurationWitness
 from .decomposition import BoundedDecomposition, Params, SparseDecomposition
 from .graphcore import (LayeredGraph, _digit_records, _encode, _has_repeats,
-                        fmt_vertex_set, load_graph)
+                        _isin_sorted, fmt_vertex_set, load_graph)
 from .regularity import RegularizedMatching
 from .splitting import Split
-from .spots import DenseCover, DenseSpot
+from .spots import DenseCover, DenseSpot, _spot_codes
 
 PARAM_NAMES = ("k", "Lambda", "gamma", "eps", "eps_prime", "nu", "rho", "eta",
                "pi", "alpha_hat", "tau", "d", "omega_star", "omega_sstar", "b")
@@ -227,10 +228,10 @@ def _scan_edges(text: str, what: str, n=None) -> list:
 
 
 def dump_spot_line(s: DenseSpot) -> str:
-    return "spot: U=%s W=%s F=%s" % (
+    return "spot: U=%s W=%s F=%s" % (  # F's arrays are in sorted order
         ",".join(str(v) for v in sorted(s.U)),
         ",".join(str(v) for v in sorted(s.W)),
-        ",".join("%d-%d" % e for e in sorted(s.F)))
+        ",".join(map("%d-%d".__mod__, zip(*(e.tolist() for e in s._ends)))))
 
 
 def parse_decomposition(text: str, g: LayeredGraph, p: Params,
@@ -291,7 +292,7 @@ def _scan_decomposition(text: str, n: int, m, gamma):
         with _at_line(lineno):
             if ln.startswith("spot:"):
                 s = _scan_spot(ln, m, gamma)
-                _in_range(s.vertices().union(*s.F), n)
+                _in_range(s.vertices().union(*(e.tolist() for e in s._ends)), n)
                 spots.append(s)
             elif ln.startswith("section "):
                 section = ln.split()[1]
@@ -587,6 +588,19 @@ def dump_witness(w: ConfigurationWitness, cp=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decomposition_in(text: str, g: LayeredGraph, p: Params) -> SparseDecomposition:
+    """parse_decomposition; InstanceFormatError at a spot with an edge not in G."""
+    sd = parse_decomposition(text, g, p)
+    spot_lines = (lineno for lineno, ln in _content_lines(text) if ln.startswith("spot:"))
+    for s, lineno in zip(sd.bd.spots, spot_lines):
+        codes = _spot_codes(s, g.n)  # all of them: the parsers checked the ids
+        outside = ~_isin_sorted(codes, g._codes())
+        if outside.any():
+            raise InstanceFormatError(lineno, "spot edge %d-%d is not an edge of G"
+                                      % divmod(int(codes[outside.argmax()]), g.n))
+    return sd
+
+
 def _parsed(file: Path, parse, *args):
     """parse(text of file, *args); an InstanceFormatError names the file."""
     try:
@@ -601,7 +615,7 @@ def load_instance_dir(path) -> tuple:
     g = load_graph((path / "graph.txt").read_text())
     p = _parsed(path / "params.txt", parse_params)
     dec_file = path / "decomposition.txt"
-    sd = _parsed(dec_file, parse_decomposition, g, p) if dec_file.exists() \
+    sd = _parsed(dec_file, _decomposition_in, g, p) if dec_file.exists() \
         else SparseDecomposition(frozenset(), BoundedDecomposition(
             [], DenseCover([]), "G_reg", "G_exp", frozenset(), [g.vertices()]))
     for name in ("G_reg", "G_exp"):

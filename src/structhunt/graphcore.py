@@ -12,18 +12,23 @@ non-string TypeError.
 
 Representation.  A layer is one sorted, duplicate-free int64 array of edge
 codes u*n + v with u < v (Python integers in an object array when n*n would
-overflow int64), so code order is the sorted order of the (u, v) tuples.  A
-composite spec folds its named layers' codes left to right by sorted union
-and np.setdiff1d, once per graph and spec string.  Everything else is built
-from the codes on first use and kept with them:
+overflow int64), so code order is the sorted order of the (u, v) tuples.
+Codes are the one edge form the package computes with, spots' edges too
+(see spots): unions, differences and containment are sorted-array
+operations (_union_codes, np.setdiff1d, _isin_sorted).  A composite spec
+folds its named layers' codes left to right the same way, once per graph
+and spec string.  Everything else is built from the codes on first use and
+kept with them:
   - the directed form: both orientations of every edge sorted by (source,
     target), as rows and cols, and the degree of each vertex, from one sort.
-    deg(v), mindeg/maxdeg, e(X, Y), densities, edges_between,
+    deg(v), mindeg/maxdeg, e(X, Y), densities, _codes_between,
     neighbourhoods, V(layer) and the per-vertex counts behind shadows are
     each one pass of numpy operations over it and membership masks of the
     vertex sets, O(n + |E|) whatever the sizes of the sets;
-  - the frozenset of (u, v) tuples behind edges() and layers;
-  - the tuple of neighbour frozensets behind adj() and deg(v, U), which
+  - the frozenset of (u, v) tuples behind edges(), edges_between() and
+    layers: a public view, built in the package only for the edges of a
+    D1 or D10 witness;
+  - the tuple of neighbour frozensets behind adj() and deg(v, U): the view
     the cleaning loops, peeling, maximal cuts and spot searches walk.
 with_layer hands the new graph the parent's layers, and with them these
 forms, except for the layer it replaces.
@@ -33,9 +38,9 @@ is given, load_graph each layer block, and with_layer only the layer it adds,
 each in bulk over integer arrays.  Input the bulk check rejects or cannot
 read as integer pairs goes through the scalar loop, which raises the error
 for the first offending edge, or accepts it; a non-integer id raises
-TypeError.  Callers in the package that build a layer from layers of the
-same graph pass codes (_codes, _codes_between, _union_codes, _with_codes),
-so those edges are neither re-checked nor turned into tuples.
+TypeError.  Callers in the package that build a layer from layers or spots
+of the same graph pass codes (_with_codes, or _code_graph for a graph of
+one layer), so those edges are neither re-checked nor turned into tuples.
 load_graph parses each block of the canonical form that dump_graph writes in
 bulk, and checks ranges, self-loops and duplicates over the whole block.
 Any other text (comments, blank lines, other whitespace, signed ids), and
@@ -54,7 +59,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable
@@ -226,28 +230,6 @@ class _Layer:
         return self._adj
 
 
-class _EdgeSets(Mapping):
-    """Layer name -> frozenset of edges, each built on first access."""
-
-    def __init__(self, layers: dict):
-        self._layers = layers
-
-    def __getitem__(self, name):
-        return self._layers[name].edges()
-
-    def __contains__(self, name):
-        return name in self._layers
-
-    def __iter__(self):
-        return iter(self._layers)
-
-    def __len__(self):
-        return len(self._layers)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
-
-
 def _id_array(X) -> np.ndarray:
     """The members of X as an int64 array, in iteration order."""
     return np.fromiter(X, dtype=np.int64)
@@ -296,9 +278,9 @@ class LayeredGraph:
     # -- layer specs -----------------------------------------------------
 
     @property
-    def layers(self) -> Mapping:
+    def layers(self) -> dict:
         """Layer name -> frozenset of its edges (u, v), u < v."""
-        return _EdgeSets(self._layers)
+        return {name: layer.edges() for name, layer in self._layers.items()}
 
     def has_layer(self, name: str) -> bool:
         return name in self._layers
@@ -473,6 +455,11 @@ class LayeredGraph:
         sizes = ", ".join("%s:%d" % (k, len(v.codes))
                           for k, v in sorted(self._layers.items()))
         return "LayeredGraph(n=%d, %s)" % (self.n, sizes)
+
+
+def _code_graph(n: int, codes) -> LayeredGraph:
+    """The graph on n vertices whose layer G has these codes of valid edges."""
+    return LayeredGraph._validated(n, {"G": _Layer(n, codes)})
 
 
 # -- text format -------------------------------------------------------

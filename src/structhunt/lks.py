@@ -18,10 +18,12 @@ from typing import Optional
 
 from .decomposition import Params, SparseDecomposition, captured_subgraph
 from .exactmath import frac, sqrt_val
-from .graphcore import LayeredGraph, _support, _vertices_where
+from .graphcore import (LayeredGraph, _isin_sorted, _support, _union_codes,
+                        _vertices_where)
 from .regularity import RegularizedMatching, check_m_cover
 from .report import Report
 from .shadows import shadow
+from .spots import _cover_codes
 
 
 @dataclass
@@ -157,7 +159,7 @@ def derive_common_sets(g: LayeredGraph, sd: SparseDecomposition, p: Params,
     if not g.has_layer("G_nabla"):
         g = captured_subgraph(sd, g, "G_nabla")
     if not g.has_layer("G_D"):
-        g = g.with_layer("G_D", sd.bd.spots.edge_union())
+        g = g._with_codes("G_D", _cover_codes(sd.bd.spots, g.n))
 
     k, eta, gamma, rho = p.k, p.eta, p.gamma, p.rho
     b = CommonSettingBundle(g, sd, p, MA, MB)
@@ -266,10 +268,11 @@ def check_common_setting(b: CommonSettingBundle) -> Report:
     rep.check_le("8. e_reg(V - V(M), V(N_E)) <= gamma^2 k n",
                  g.e_ordered("G_reg", g.vertices() - vmab, b.N_E.vertices()),
                  gamma * gamma * k * n)
-    uncaptured = len(g.edges("G-G_nabla"))
+    uncaptured = g._codes("G-G_nabla").size
     rep.check_le("9. |E(G) - E(G_nabla)| <= 2 rho k n", uncaptured, 2 * rho * k * n)
-    cap_e = g.edges("G_reg") | g.edges_between("G", b.E, b.E | b.sd.bd.cluster_union())
-    dangling = len(g.edges("G_D") - cap_e)
+    cap_e = _union_codes(g._codes("G_reg"), g._codes_between(
+        "G", b.E, b.E | b.sd.bd.cluster_union()))
+    dangling = int((~_isin_sorted(g._codes("G_D"), cap_e)).sum())
     rep.check_le("10. |E(G_D) - (E(G_reg) + E[E, E+clusters])| <= 5/4 gamma k n",
                  dangling, Fraction(5, 4) * gamma * k * n)
     return rep
@@ -289,7 +292,7 @@ def check_derived_bounds(b: CommonSettingBundle, beta, beta_tilde,
     k, eta, n = p.k, p.eta, g.n
     rep = Report("derived-set bounds")
 
-    uncaptured = len(g.edges("G-G_nabla"))
+    uncaptured = g._codes("G-G_nabla").size
     hyp1 = uncaptured <= beta * k * n
     rep.add("hypothesis: uncaptured edges <= beta k n", hyp1,
             measured=uncaptured, needed=beta * k * n)

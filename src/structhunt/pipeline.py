@@ -29,13 +29,13 @@ from .cleaning import (clean_c_plus_black, clean_c_plus_yellow, clean_match,
 from .configurations import (ConfigParams, ConfigurationWitness, _large_nabla,
                              verify_configuration)
 from .exactmath import frac, root4_val, sqrt_val
-from .graphcore import LayeredGraph, _union_codes, _vertices_where, fmt_vertex_set
+from .graphcore import _code_graph, _union_codes, _vertices_where, fmt_vertex_set
 from .lks import CommonSettingBundle
 from .regularity import RegularizedMatching, Sampled, check_regular_pair
 from .report import Report
 from .shadows import maximal_cut, min_degree_subgraph, peel_bipartite, shadow
 from .splitting import Split
-from .spots import DenseCover, clean_spots
+from .spots import DenseCover, _cover_codes, _spot_codes, clean_spots
 
 
 @dataclass
@@ -344,7 +344,7 @@ def majority_dispatch(b: CommonSettingBundle, D_nabla: DenseCover, YA1, YA2,
     n = g.n
     rep = Report("majority dispatch (%s)" % case)
     YA1, YA2 = frozenset(YA1), frozenset(YA2)
-    gw = g.with_layer("_D_nabla", D_nabla.edge_union())
+    gw = g._with_codes("_D_nabla", _cover_codes(D_nabla, n))
     Y = dict(zip((1, 2), _type_sets(b, (YA1, YA2))))
 
     masses = {}
@@ -421,13 +421,13 @@ def build_spot_matching(b: CommonSettingBundle, D_nabla: DenseCover, Z1, Z2,
     ell_goal = p.alpha_hat * p.rho * k / p.omega_star
     used = set()
     pairs = []
-    for s in sorted(D_nabla, key=lambda s: (-len(s.F), min(s.vertices()))):
+    for s in sorted(D_nabla, key=lambda s: (-s._ends[0].size, min(s.vertices()))):
         for (U, W) in ((s.U, s.W), (s.W, s.U)):
             A = sorted((Z1 & U) - used)
             B = sorted((Z2 & W) - used)
             if not A or not B:
                 continue
-            spot_g = LayeredGraph(g.n, {"G": s.F})
+            spot_g = _code_graph(g.n, _spot_codes(s, g.n))
             Af, Bf = peel_bipartite(spot_g, "G", A, B, 1)
             m = min(len(Af), len(Bf))
             if m == 0:
@@ -597,7 +597,7 @@ def obtain_config_matching(b: CommonSettingBundle, split: Split,
            len(M.vertices()) >= rho * n / p.omega_star,
            measured=len(M.vertices()), needed=rho * n / p.omega_star)
 
-    spots = LayeredGraph(n, {"G": D_nabla.edge_union()})
+    spots = _code_graph(n, _cover_codes(D_nabla, n))
     gw = g._with_codes("_E1", _union_codes(
         *(spots._codes_between("G", X, Yv) for X, Yv in M.pairs)))
     Ybar = split.exceptional_vertices | split.F_shadow
@@ -800,14 +800,14 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
         R_A, R_B = sparse_clusters(A, P_A), sparse_clusters(B, P_B)
         _record(out, "R_A", R_A)
         _record(out, "R_B", R_B)
-        spots = LayeredGraph(g.n, {"G": D_nabla.edge_union()})
-        edge = min(spots.edges_between("G", A - (P_A | R_A), B - (P_B | R_B)),
-                   default=None)
-        tr.add("spot edge between the trimmed pair", edge is not None)
-        if edge is None:
+        between = _code_graph(g.n, _cover_codes(D_nabla, g.n))._codes_between(
+            "G", A - (P_A | R_A), B - (P_B | R_B))
+        tr.add("spot edge between the trimmed pair", between.size > 0)
+        if not between.size:
             return out
-        a = edge[0] if edge[0] in A else edge[1]
-        bb = edge[1] if edge[0] in A else edge[0]
+        a, bb = divmod(int(between[0]), g.n)  # the least edge
+        if a not in A:
+            a, bb = bb, a
         C_A = next((C for C in b.sd.bd.clusters if a in C), None)
         C_B = next((C for C in b.sd.bd.clusters if bb in C), None)
         if C_A is None or C_B is None:

@@ -176,10 +176,7 @@ def verify_split(split: Split, g: LayeredGraph, layers=("G",), spots=(),
     spot_ok = {}
     for s in spots:
         verts = _int_array(sorted(s.U | s.W))
-        try:
-            lo, hi = s._edge_ends()
-        except OverflowError:  # an id beyond int64
-            lo, hi = (_int_array(end) for end in zip(*s.F))
+        lo, hi = s._ends
         src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
         c = class_of(dst)
         at = np.searchsorted(verts, src)

@@ -7,6 +7,12 @@ Spot detection is NP-hard in general: extract_dense_spot is a peeling +
 max-cut heuristic whose failure certifies nothing, while
 certify_nowhere_dense has a separate exact mode (exponential, desk scale
 only) that is a genuine decision procedure.
+
+A spot holds F as the arrays (lo, hi) of the ends of its distinct edges,
+lo < hi, in sorted order; object arrays when an id is beyond int64, as a
+spot's ids need not be vertices.  Checks run on codes: a graph's edge codes
+(_spot_codes), or exact codes of several spots' edges whatever their ids
+(_common_codes).  The tuple set F is a public view built on first access.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import frac, sqrt_val
-from .graphcore import (LayeredGraph, _encode, _isin_sorted, _pairs, _support,
-                        _union_codes, norm_edge)
+from .exactmath import cmp_le, frac, sqrt_val
+from .graphcore import (_INT64_CODES, _NO_CODES, LayeredGraph, _code_graph,
+                        _edge_tuples, _encode, _has_repeats, _isin_sorted, _mask,
+                        _pairs, _sized, _support, _union_codes, norm_edge)
 from .report import Report
 from .rng import split_rng
 from .shadows import maximal_cut, min_degree_subgraph, peel_bipartite
@@ -31,33 +38,36 @@ class DenseSpot:
     """Bipartite subgraph (U, W; F); (U, W; F) and (W, U; F) compare equal."""
 
     def __init__(self, U, W, F, m, gamma):
-        self.U = frozenset(U)
-        self.W = frozenset(W)
-        self.F = frozenset(norm_edge(*e) for e in F)
-        self.m = m
-        self.gamma = frac(gamma)
-        self._degrees = Counter(v for e in self.F for v in e)
-        self._ends = None
+        F = _sized(F)
+        try:
+            u, v = _pairs(F)
+        except OverflowError:  # an id beyond int64
+            u, v = (np.array(end, dtype=object) for end in zip(*F))
+        self._assign(U, W, u, v, m, gamma)
 
     @classmethod
     def _from_arrays(cls, U, W, u, v, m, gamma) -> "DenseSpot":
-        """The spot (U, W; F) for F given as int64 arrays u, v of the ends of
-        distinct, loop-free edges, already checked."""
-        s = cls.__new__(cls)
-        s.U, s.W = frozenset(U), frozenset(W)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        lo_list, hi_list = lo.tolist(), hi.tolist()
-        s.F = frozenset(zip(lo_list, hi_list))
-        s.m, s.gamma = m, frac(gamma)
-        s._degrees = Counter(lo_list + hi_list)
-        s._ends = lo, hi
-        return s
+        """The spot (U, W; F) for id arrays u, v of the ends of F's edges."""
+        return cls.__new__(cls)._assign(U, W, u, v, m, gamma)
 
-    def _edge_ends(self) -> tuple:
-        """(lo, hi): the ends of the edges of F as int64 arrays, lo < hi."""
-        if self._ends is None:
-            self._ends = _pairs(self.F)
-        return self._ends
+    def _assign(self, U, W, u, v, m, gamma) -> "DenseSpot":
+        """Set the fields (repeats merge, a self-loop raises); return self."""
+        self.U, self.W = frozenset(U), frozenset(W)
+        self.m, self.gamma = m, frac(gamma)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        if (lo == hi).any():
+            raise ValueError("self-loop at %d" % lo[(lo == hi).argmax()])
+        first = np.unique(_common_codes((lo, hi))[0], return_index=True)[1]
+        self._ends = lo[first], hi[first]
+        self._F = None
+        return self
+
+    @property
+    def F(self) -> frozenset:
+        """The edges as (u, v) tuples, u < v."""
+        if self._F is None:
+            self._F = frozenset(zip(*(end.tolist() for end in self._ends)))
+        return self._F
 
     def sides(self) -> frozenset:
         return frozenset({self.U, self.W})
@@ -68,34 +78,29 @@ class DenseSpot:
     def __eq__(self, other):
         if not isinstance(other, DenseSpot):
             return NotImplemented
-        return self.sides() == other.sides() and self.F == other.F
+        return self.sides() == other.sides() and all(map(np.array_equal, self._ends, other._ends))
 
     def __hash__(self):
-        return hash((self.sides(), self.F))
+        return hash((self.sides(), self._ends[0].size))
 
     def __repr__(self):
-        return "DenseSpot(|U|=%d, |W|=%d, |F|=%d)" % (len(self.U), len(self.W), len(self.F))
+        return "DenseSpot(|U|=%d, |W|=%d, |F|=%d)" % (len(self.U), len(self.W), self._ends[0].size)
 
     def degree(self, v) -> int:
-        return self._degrees[v]
+        return sum(np.count_nonzero(end == v) for end in self._ends)
 
     def absorbed_by(self, other: "DenseSpot") -> bool:
         """Is self contained in other as a subgraph (either orientation)?"""
-        if not self.F <= other.F:
+        if not ((self.U <= other.U and self.W <= other.W) or
+                (self.U <= other.W and self.W <= other.U)):
             return False
-        return ((self.U <= other.U and self.W <= other.W) or
-                (self.U <= other.W and self.W <= other.U))
+        mine, theirs = _common_codes(self._ends, other._ends)
+        return bool(_isin_sorted(mine, theirs).all())
 
 
 @dataclass
 class DenseCover:
     spots: list
-
-    def edge_union(self) -> frozenset:
-        out = set()
-        for s in self.spots:
-            out |= s.F
-        return frozenset(out)
 
     def __iter__(self):
         return iter(self.spots)
@@ -104,28 +109,53 @@ class DenseCover:
         return len(self.spots)
 
 
+def _spot_codes(s: DenseSpot, n: int):
+    """Sorted codes u*n + v of the spot's edges with both ends in 0..n-1."""
+    lo, hi = s._ends
+    inside = (lo >= 0) & (hi < n)
+    return _encode(lo[inside].astype(np.int64), hi[inside].astype(np.int64), n)
+
+
+def _cover_codes(spots, n: int):
+    """Sorted codes of the union of the spots' edges; ValueError unless all
+    their ends are in 0..n-1."""
+    found = [_spot_codes(s, n) for s in spots]
+    if any(codes.size < s._ends[0].size for codes, s in zip(found, spots)):
+        raise ValueError("spot edge out of range")
+    return _union_codes(*found)
+
+
+def _common_codes(*ends) -> list:
+    """Codes on one base of the edges (lo, hi) of several edge lists, exact
+    and in (lo, hi) order whatever the ids (negative or beyond int64)."""
+    low = min((int(lo.min()) for lo, _ in ends if lo.size), default=0)
+    base = max((int(hi.max()) for _, hi in ends if hi.size), default=0) - low + 1
+    wide = base > _INT64_CODES or any(lo.dtype == object for lo, _ in ends)
+    kind = object if wide else np.int64
+    return [_encode(lo.astype(kind) - low, hi.astype(kind) - low, base)
+            for lo, hi in ends]
+
+
 def is_dense_spot(s: DenseSpot) -> Report:
     """Exact check of the three dense-spot clauses."""
     if s.U & s.W:
         raise ValueError("spot sides overlap")
-    for u, v in s.F:
-        in_u = (u in s.U) + (v in s.U)
-        in_w = (u in s.W) + (v in s.W)
-        if not (in_u == 1 and in_w == 1):
-            raise ValueError("spot edge %r not between U and W" % ((u, v),))
+    lo, hi = s._ends
+    Us, Ws = (np.array(sorted(X)) for X in (s.U, s.W))
+    across = ((_isin_sorted(lo, Us) & _isin_sorted(hi, Ws))
+              | (_isin_sorted(lo, Ws) & _isin_sorted(hi, Us)))
+    if not across.all():
+        i = int(across.argmin())
+        raise ValueError("spot edge %r not between U and W" % ((int(lo[i]), int(hi[i])),))
     rep = Report("dense spot")
-    rep.add("F non-empty", bool(s.F), measured=len(s.F))
-    if s.F:
-        dens = Fraction(len(s.F), len(s.U) * len(s.W))
+    rep.add("F non-empty", bool(lo.size), measured=lo.size)
+    if lo.size:
+        dens = Fraction(lo.size, len(s.U) * len(s.W))
         rep.add("density > gamma", dens > s.gamma, measured=dens, needed=s.gamma)
-        md = min(s.degree(v) for v in s.vertices())
-        from .exactmath import cmp_le
+        present, counts = np.unique(np.concatenate([lo, hi]), return_counts=True)
+        md = int(counts.min()) if present.size == len(s.U) + len(s.W) else 0
         rep.add("mindeg > m", not cmp_le(md, s.m), measured=md, needed=s.m)
     return rep
-
-
-def _edge_graph(n: int, edges) -> LayeredGraph:
-    return LayeredGraph(n, {"G": edges})
 
 
 def _strictly_above(m) -> Fraction:
@@ -134,7 +164,7 @@ def _strictly_above(m) -> Fraction:
     return Fraction(int(m) + 1) if m >= 0 else Fraction(0)
 
 
-def extract_dense_spot(g_or_n, layer_or_edges, m, gamma):
+def extract_dense_spot(g: LayeredGraph, layer, m, gamma):
     """Heuristic spot extraction: core peel, maximal cut, bipartite peel.
 
     The core threshold is the sound one: every vertex of an (m, gamma)-spot
@@ -143,50 +173,37 @@ def extract_dense_spot(g_or_n, layer_or_edges, m, gamma):
     None does NOT certify nowhere-density at this level; use
     certify_nowhere_dense for that.
     """
-    if isinstance(g_or_n, LayeredGraph):
-        g = g_or_n
-        edges = g.edges(layer_or_edges)
-        n = g.n
-    else:
-        n, edges = g_or_n, frozenset(layer_or_edges)
-        g = _edge_graph(n, edges)
     gamma = frac(gamma)
-    if not edges:
-        return None
-    work = _edge_graph(n, edges)
-    core = min_degree_subgraph(work, "G", _support(work, "G"), _strictly_above(m))
+    core = min_degree_subgraph(g, layer, _support(g, layer), _strictly_above(m))
     if not core:
         return None
-    A, B = maximal_cut(work, "G", core)
+    A, B = maximal_cut(g, layer, core)
     if not A or not B:
         return None
-    A, B = peel_bipartite(work, "G", A, B, _strictly_above(m))
+    A, B = peel_bipartite(g, layer, A, B, _strictly_above(m))
     if not A or not B:
         return None
-    F = work.edges_between("G", A, B)
-    if not F:
-        return None
+    F = _code_graph(g.n, g._codes_between(layer, A, B))
+    d = F._directed()
     # a connected component of a qualifying candidate has at least its
     # density, so search components and keep the densest qualifying one
     best = None
     best_key = None
-    for Ac, Bc, Fc in _bipartite_components(A, B, F):
-        cand = DenseSpot(Ac, Bc, Fc, m, gamma)
+    for comp in _components(F.adj("G"), _support(F, "G")):
+        inside = _mask(comp, g.n)[d.u]
+        cand = DenseSpot._from_arrays(comp & A, comp & B, d.u[inside], d.v[inside], m, gamma)
         if is_dense_spot(cand).ok:
-            dens = Fraction(len(Fc), len(Ac) * len(Bc))
+            dens = Fraction(cand._ends[0].size, len(cand.U) * len(cand.W))
             key = (-dens, min(cand.vertices()))
             if best is None or key < best_key:
                 best, best_key = cand, key
     return best
 
 
-def _bipartite_components(A, B, F):
-    """Connected components of the bipartite graph (A, B; F)."""
-    nbrs = {}
-    for u, v in F:
-        nbrs.setdefault(u, set()).add(v)
-        nbrs.setdefault(v, set()).add(u)
-    todo = set(nbrs)
+def _components(adj, vertices) -> list:
+    """The connected components, by least vertex, of the graph that the
+    neighbour sets adj induce on the frozenset vertices."""
+    todo = set(vertices)
     comps = []
     while todo:
         start = min(todo)
@@ -194,13 +211,12 @@ def _bipartite_components(A, B, F):
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in nbrs[v]:
+            for u in adj[v] & vertices:
                 if u not in comp:
                     comp.add(u)
                     stack.append(u)
         todo -= comp
-        comps.append((frozenset(comp & A), frozenset(comp & B),
-                      frozenset(e for e in F if e[0] in comp)))
+        comps.append(frozenset(comp))
     return comps
 
 
@@ -234,30 +250,13 @@ def _exact_spot_search(g: LayeredGraph, layer, m, gamma):
     """Exhaustive connected-spot search; returns a spot or None."""
     m = frac(m)
     gamma = frac(gamma)
-    edges = g.edges(layer)
-    if not edges:
-        return None
     core = min_degree_subgraph(g, layer, _support(g, layer), _strictly_above(m))
     if not core:
         return None
     adj = g.adj(layer)
-    # split the core into connected components; a spot lives inside one
-    comps = []
-    todo = set(core)
-    while todo:
-        start = min(todo)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v] & core:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-        todo -= comp
-    for comp in comps:
-        found = _component_spot_search(adj, comp, m, gamma)
+    # a spot lives inside one connected component of the core
+    for comp in _components(adj, core):
+        found = _component_spot_search(adj, sorted(comp), m, gamma)
         if found:
             return found
     return None
@@ -339,15 +338,15 @@ def greedy_dense_cover(g: LayeredGraph, layer, m, gamma):
     construction, and the residual is empty iff a true dense cover of the
     layer was achieved.
     """
-    remaining = set(g.edges(layer))
+    remaining = g._codes(layer)
     spots = []
     while True:
-        spot = extract_dense_spot(g.n, remaining, m, gamma)
+        spot = extract_dense_spot(_code_graph(g.n, remaining), "G", m, gamma)
         if spot is None:
             break
         spots.append(spot)
-        remaining -= spot.F
-    return DenseCover(spots), frozenset(remaining)
+        remaining = np.setdiff1d(remaining, _spot_codes(spot, g.n), assume_unique=True)
+    return DenseCover(spots), _edge_tuples(remaining, g.n)
 
 
 def check_avoiding(g: LayeredGraph, spots, E, Lambda, eps, gamma, k,
@@ -454,10 +453,10 @@ def clean_spots(g: LayeredGraph, spots, E, clusters, gamma, k, rho,
     absorption = []
     root_gamma = sqrt_val(gamma)
     for idx, D in enumerate(spots):
-        lo, hi = D._edge_ends()
+        lo, hi = D._ends
         keep = is_captured(lo, hi)
         # discard rule: |uncaptured| >= sqrt(gamma) * e(D), exactly
-        if root_gamma * len(D.F) <= len(D.F) - int(np.count_nonzero(keep)):
+        if root_gamma * lo.size <= lo.size - int(np.count_nonzero(keep)):
             absorption.append((idx, None))
             continue
         a, b = len(D.U), len(D.W)
@@ -473,20 +472,15 @@ def clean_spots(g: LayeredGraph, spots, E, clusters, gamma, k, rho,
         else:
             absorption.append((idx, None))
 
-    lost = sum(len(D.F) for D in spots) - sum(len(s.F) for s in out_spots)
+    lost = sum(D._ends[0].size for D in spots) - sum(s._ends[0].size for s in out_spots)
     rep.check_le("property 1: |E(D) \\ E(D_nabla)| <= rho k n", lost,
                  rho * k * g.n, note="reported, not asserted")
-    prop2 = all(is_captured(*s._edge_ends()).all() for s in out_spots)
+    prop2 = all(is_captured(*s._ends).all() for s in out_spots)
     rep.add("property 2: output edges captured", prop2)
     dense_ok = all(is_dense_spot(s).ok for s in out_spots)
     rep.add("outputs are (gamma^3 k/4, gamma/2)-dense", dense_ok)
-    seen = set()
-    disjoint = True
-    for s in out_spots:
-        if s.F & seen:
-            disjoint = False
-        seen |= s.F
-    rep.add("outputs edge-disjoint", disjoint)
+    out_codes = np.concatenate([_NO_CODES] + [_spot_codes(s, g.n) for s in out_spots])
+    rep.add("outputs edge-disjoint", not _has_repeats(np.sort(out_codes)))
     absorbed = all(new.absorbed_by(spots[idx]) for idx, new in absorption
                    if new is not None)
     rep.add("absorption recorded", absorbed)

@@ -90,11 +90,13 @@ class TestInputErrors:
         ("spot: U=0 W=1 F=0-1-2", "line +0: bad spot edge '0-1-2', want a-b"),
         ("spot: U=0,99999 W=1 F=0-1", "line +0: vertex id 99999 out of range"),
         ("spot: U=0 W=1 F=0-99999", "line +0: vertex id 99999 out of range"),
+        ("spot: U=0 W=12 F=0-12", "line +0: spot edge 0-12 is not an edge of G"),
         ("spot: U=0 F=0-1", "line +0: spot line without W="),
         ("spot: U=0 W=1 F", "line +0: bad spot field 'F', want key=value")])
     def test_bad_decomposition_line(self, tmp_path, capsys, lines, error):
-        """Every id of decomposition.txt is checked against the graph, and a
-        bad one names its line (the +k counts from the first added line)."""
+        """Every id and spot edge of decomposition.txt is checked against the
+        graph, and a bad one names its line (the +k counts from the first
+        added line)."""
         d, _, _ = make_instance_dir(tmp_path)
         self._check_added_lines(capsys, d, "decomposition.txt", lines, error)
 

@@ -1,14 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from oracle_tuple_sets import tuple_bounded_clauses, tuple_sparse_clauses
 from structhunt.decomposition import (BoundedDecomposition, Params,
                                       SparseDecomposition, captured_subgraph,
                                       cluster_graph, validate_bounded,
                                       validate_sparse)
 from structhunt.regularity import EXACT_CAP
 from structhunt.spots import DenseCover, DenseSpot
-from util import complete_bipartite, graph_from_edges
+from util import (SPOT_CASES, complete_bipartite, graph_from_edges,
+                  random_decomposition)
 
 
 def empty_bd(E=frozenset(), clusters=(), prepartition=None):
@@ -203,3 +206,73 @@ class TestClusterGraph:
             Ci, Cj = bd.clusters[i], bd.clusters[j]
             assert any((Ci <= s.U and Cj <= s.W) or (Ci <= s.W and Cj <= s.U)
                        for s in bd.spots)
+
+
+def _outcome(fn, *args, **kwargs):
+    """("ok", result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _renders(rep, keep):
+    return [ci.render() for ci in rep.items if keep(ci.item)]
+
+
+class TestAgainstTupleSets:
+    SEEDS = range(400)
+
+    def test_spot_edge_outside_G_fails_clause_5(self):
+        """Graph 0-1 on 4 vertices, spot U=0 W=2 F=0-2: the spot is dense,
+        but its edge is not an edge of G."""
+        g = graph_from_edges(4, [(0, 1)], G_reg=[], G_exp=[])
+        spot = DenseSpot({0}, {2}, [(0, 2)], Fraction(0), Fraction(1, 2))
+        bd = BoundedDecomposition([], DenseCover([spot]), "G_reg", "G_exp",
+                                  frozenset(), [g.vertices()])
+        p = small_params(k=1, nu=Fraction(1), eps=Fraction(1))
+        item = validate_bounded(bd, g, p)[
+            "5. spots edge-disjoint (gamma k, gamma)-dense in G - G_exp, sides covered"]
+        assert not item.passed and item.note == "spot 0 has edges outside G"
+        old = tuple_bounded_clauses(bd, g, p, in_graph=False)
+        assert old.items[-1].passed
+
+    def test_bounded_clauses_1_3_5_match(self):
+        """Clauses 1, 3 and 5 read as on tuple sets, report for report, on
+        decompositions whose spots share edges, use G_exp edges, leave U x W,
+        have edges outside G and hold ids -3, n, 2^40 and 2^70."""
+        cases, notes = set(), set()
+        for seed in self.SEEDS:
+            g, bd, p, drawn = random_decomposition(seed)
+            cases |= drawn
+            found = _outcome(validate_bounded, bd, g, p)
+            want = _outcome(tuple_bounded_clauses, bd, g, p)
+            if found[0] != "ok":
+                assert found == want, seed
+                notes.add("raised")
+                continue
+            got = _renders(found[1], lambda item: item[:2] in ("1.", "3.", "5."))
+            assert got == _renders(want[1], lambda item: True), seed
+            notes.add(re.sub(r".*\(spot \d+:? |\)$", "", got[-1]))
+            if all(s.F <= g.edges("G") for s in bd.spots):  # as the old form
+                old = tuple_bounded_clauses(bd, g, p, in_graph=False)
+                assert got == _renders(old, lambda item: True), seed
+        assert cases == set(SPOT_CASES)
+        assert {"raised", "shares edges", "uses G_exp edges",
+                "has edges outside G"} <= notes
+
+    def test_sparse_clauses_1_2_match(self):
+        for seed in self.SEEDS:
+            g, bd, p, _ = random_decomposition(seed)
+            H = frozenset(v for v in range(g.n) if (seed >> v) % 5 == 0)
+            sd = SparseDecomposition(H, bd)
+            found = _outcome(validate_sparse, sd, g, p)
+            want = _outcome(tuple_sparse_clauses, sd, g, p)
+            if want[0] != "ok":  # K holds an edge with an end outside 0..n-1
+                assert found[0] == want[0], seed
+            elif found[0] != "ok":  # raised by the bounded validation on G - H
+                assert found == _outcome(validate_bounded, bd, g, p,
+                                         universe=g.vertices() - H), seed
+            else:
+                assert _renders(found[1], lambda item: True)[:3] == \
+                    _renders(want[1], lambda item: True), seed

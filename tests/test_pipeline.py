@@ -365,3 +365,46 @@ class TestFullConfigurationCoverage:
         out = hunt_configuration(b, split)
         assert out.witness is not None and out.witness.tag == tag, out.dump()
         assert out.status == "found", out.dump()
+
+
+class TestOneEdgeForm:
+    def test_hunt_builds_tuple_sets_only_for_witness_edges(self, monkeypatch):
+        """Over every builder's hunt, outcome dump and witness dump, no code
+        turns edge codes into (u, v) tuple sets and no spot builds its tuple
+        set F, except for the witness edge lists: D1's F and D10's
+        Gt_edges, one each."""
+        import sys
+
+        from make_golden import _hunts
+        from structhunt import graphcore
+        from structhunt.fileio import dump_witness
+        from structhunt.spots import DenseSpot
+
+        built = []
+        real_tuples = graphcore._edge_tuples
+        real_F = DenseSpot.F.fget
+
+        def counting_tuples(codes, n):
+            built.append("tuples")
+            return real_tuples(codes, n)
+
+        def counting_F(spot):
+            if spot._F is None:
+                built.append("F")
+            return real_F(spot)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("structhunt") and \
+                    getattr(mod, "_edge_tuples", None) is real_tuples:
+                monkeypatch.setattr(mod, "_edge_tuples", counting_tuples)
+        monkeypatch.setattr(DenseSpot, "F", property(counting_F))
+        tags = []
+        for name, b, split, seed in _hunts():
+            out = hunt_configuration(b, split, seed=seed)
+            out.dump()
+            if out.witness is not None:
+                dump_witness(out.witness, out.config_params)
+                tags.append(out.witness.tag)
+            payloads = sum(tag in ("D1", "D10") for tag in tags)
+            assert built == ["tuples"] * payloads, name
+        assert {"D1", "D10"} <= set(tags)

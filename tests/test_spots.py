@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_tuple_sets import tuple_clean_spots
-from structhunt.graphcore import norm_edge
-from structhunt.spots import (DenseCover, DenseSpot, check_avoiding,
+from oracle_tuple_sets import (tuple_absorbed_by, tuple_clean_spots,
+                               tuple_edge_union, tuple_greedy_dense_cover,
+                               tuple_is_dense_spot)
+from structhunt.graphcore import LayeredGraph, norm_edge
+from structhunt.spots import (DenseCover, DenseSpot, _cover_codes, check_avoiding,
                               certify_nowhere_dense, clean_spots,
                               extract_dense_spot, greedy_dense_cover,
                               is_dense_spot)
 from util import (complete_bipartite, cycle_graph, graph_from_edges, path_graph,
-                  random_graph)
+                  random_decomposition, random_graph)
 
 
 def oracle_has_spot(g, m, gamma):
@@ -386,3 +388,70 @@ class TestCleanSpotsAgainstTupleSets:
         want, want_rep = tuple_clean_spots(*args)
         assert rep.render() == want_rep.render()
         assert [s.F for s in cover] == [s.F for s in want] == [frozenset({(0, 3)})]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+class TestSpotChecksAgainstTupleSets:
+    """The array forms of the spot checks against the tuple-set forms, on the
+    spots of random decompositions: shared edges, G_exp edges, edges leaving
+    U x W or outside G, and ids -3, n, 2^40 and 2^70."""
+
+    def _spots(self):
+        for seed in range(300):
+            g, bd, _, _ = random_decomposition(seed)
+            yield g, list(bd.spots)
+
+    def test_is_dense_spot(self):
+        kinds = set()
+        for _, spots in self._spots():
+            for s in spots:
+                found = _outcome(is_dense_spot, s)
+                want = _outcome(tuple_is_dense_spot, s)
+                render = lambda out: out if out[0] != "ok" else out[1].render()
+                assert render(found) == render(want)
+                kinds.add(found[0] if found[0] != "ok" else found[1].ok)
+        assert kinds == {"ValueError", True, False}
+
+    def test_absorbed_by(self):
+        answers = set()
+        for _, spots in self._spots():
+            subs = [DenseSpot(s.U, s.W, sorted(s.F)[:len(s.F) // 2 + 1], s.m, s.gamma)
+                    for s in spots]
+            for a in spots + subs:
+                for b in spots + subs:
+                    got = a.absorbed_by(b)
+                    assert got == tuple_absorbed_by(a, b)
+                    answers.add(got)
+        assert answers == {True, False}
+
+    def test_edge_union(self):
+        """The code union installs the tuple union's layer, and raises where
+        the tuple union's layer could not be built."""
+        for g, spots in self._spots():
+            found = _outcome(_cover_codes, spots, g.n)
+            want = _outcome(lambda: LayeredGraph(g.n, {"G": tuple_edge_union(spots)}))
+            assert found[0] == want[0]
+            if found[0] == "ok":
+                assert found[1].tolist() == want[1]._codes().tolist()
+
+    def test_equality_and_degree(self):
+        for _, spots in self._spots():
+            for s in spots:
+                twin = DenseSpot(s.W, s.U, sorted(s.F, reverse=True) * 2, s.m, s.gamma)
+                assert twin == s and hash(twin) == hash(s) and twin.F == s.F
+                for v in s.vertices() | {-3, 2**70}:
+                    assert s.degree(v) == sum(1 for e in s.F if v in e)
+
+    def test_greedy_dense_cover(self):
+        for seed in range(30):
+            g = random_graph(16, 0.45, seed)
+            for m, gamma in ((1, Fraction(1, 2)), (2, Fraction(1, 3))):
+                cover, residual = greedy_dense_cover(g, "G", m, gamma)
+                want, want_residual = tuple_greedy_dense_cover(g, "G", m, gamma)
+                assert cover.spots == want.spots and residual == want_residual

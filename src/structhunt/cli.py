@@ -52,14 +52,28 @@ def _read_graph(path, *specs) -> LayeredGraph:
     return g
 
 
-def _vs(arg: str, n: int):
-    return parse_vertex_set(arg or "", n)
+def _vs(arg: str, n: int, option: str) -> frozenset:
+    """The vertex set given to option, each id checked against n."""
+    try:
+        return parse_vertex_set(arg or "", n)
+    except ValueError as exc:
+        raise InputError("%s: %s" % (option, exc)) from None
+
+
+def _fraction(text: str, option: str) -> Fraction:
+    """The fraction given to option."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise InputError("%s: bad fraction %r" % (option, text)) from None
+    except ZeroDivisionError:
+        raise InputError("%s: zero denominator in %r" % (option, text)) from None
 
 
 def cmd_shadow(args) -> int:
     g = _read_graph(args.graph, args.layer)
-    U = _vs(args.set, g.n)
-    q = ShadowQuery(args.layer, U, Fraction(args.ell), args.depth)
+    U = _vs(args.set, g.n, "--set")
+    q = ShadowQuery(args.layer, U, _fraction(args.ell, "--ell"), args.depth)
     result = shadow_iter(g, q)
     print(fmt_vertex_set(result))
     return 0
@@ -67,14 +81,7 @@ def cmd_shadow(args) -> int:
 
 def cmd_split(args) -> int:
     g = _read_graph(args.graph)
-    q = []
-    for x in args.q.split(","):
-        try:
-            q.append(Fraction(x))
-        except ValueError:
-            raise InputError("--q: bad fraction %r" % x) from None
-        except ZeroDivisionError:
-            raise InputError("--q: zero denominator in %r" % x) from None
+    q = [_fraction(x, "--q") for x in args.q.split(",")]
     try:
         split = random_split(g, g.vertices(), q, args.seed)
     except ValueError as exc:  # a negative fraction, or a sum above 1 or of 0
@@ -89,10 +96,10 @@ def cmd_split(args) -> int:
 
 def cmd_check_regular(args) -> int:
     g = _read_graph(args.graph, args.layer)
-    U = _vs(args.U, g.n)
-    W = _vs(args.W, g.n)
+    U = _vs(args.U, g.n, "-U")
+    W = _vs(args.W, g.n, "-W")
     mode = "exact" if args.mode == "exact" else Sampled(args.trials, args.seed)
-    cert = check_regular_pair(g, args.layer, U, W, Fraction(args.eps), mode)
+    cert = check_regular_pair(g, args.layer, U, W, _fraction(args.eps, "--eps"), mode)
     print("verdict: %s" % cert.verdict)
     print("density: %s" % cert.density)
     if cert.witness:
@@ -106,12 +113,20 @@ def cmd_check_regular(args) -> int:
 
 def cmd_find_spots(args) -> int:
     g = _read_graph(args.graph, args.layer)
-    cover, residual = greedy_dense_cover(g, args.layer, Fraction(args.m),
-                                         Fraction(args.gamma))
+    cover, residual = greedy_dense_cover(g, args.layer, _fraction(args.m, "-m"),
+                                         _fraction(args.gamma, "--gamma"))
     for s in cover:
         print(dump_spot_line(s))
     print("residual edges: %d" % len(residual))
     return 0
+
+
+def _pair(text: str, n: int) -> tuple:
+    """One "A|B" entry of --partitions."""
+    sides = text.split("|")
+    if len(sides) != 2:
+        raise InputError("--partitions: bad pair %r, want A|B" % text)
+    return tuple(_vs(side, n, "--partitions") for side in sides)
 
 
 def cmd_clean(args) -> int:
@@ -119,59 +134,67 @@ def cmd_clean(args) -> int:
     g = _read_graph(args.graph, *(layers if args.op in ("yellow", "match")
                                   else [args.layer]))
     n = g.n
-    sets = [_vs(x, n) for x in args.sets.split("/")]
-    Y = _vs(args.Y, n)
-    k = Fraction(args.k)
+    sets = [_vs(x, n, "--sets") for x in args.sets.split("/")]
+    Y = _vs(args.Y, n, "--Y")
+    if args.op in ("yellow", "match") and len(layers) < 2:
+        raise InputError("--layers: %s takes 2 or more layers" % args.op)
+    if args.op == "cyellow" and len(sets) < 2:
+        raise InputError("--sets: cyellow takes 2 or more sets, got %d" % len(sets))
+    want = {"envelope": 2, "cblack": 2, "cyellow": len(sets)}.get(args.op, len(layers) + 1)
+    if len(sets) != want:
+        raise InputError("--sets: %s takes %d sets, got %d" % (args.op, want, len(sets)))
+    try:  # the op rejects overlapping sets, partitions that cut X_0/X_1 wrongly
+        rep = _clean(args, g, layers, sets, Y)
+    except ValueError as exc:
+        raise InputError("clean %s: %s" % (args.op, exc)) from None
+    print(rep.render())
+    return 0
+
+
+def _clean(args, g, layers, sets, Y):
+    """Run one cleaning op, print its sets and return its report."""
+
+    def num(name):
+        return _fraction(getattr(args, name), "--" + name)
+
+    k = num("k")
     if args.op == "envelope":
-        Pp, Qp, Qpp, rep = envelope(g, args.layer, sets[0], sets[1], Y,
-                                    Fraction(args.psi), Fraction(args.Gamma),
-                                    Fraction(args.Omega), k)
+        Pp, Qp, Qpp, rep = envelope(g, args.layer, sets[0], sets[1], Y, num("psi"),
+                                    num("Gamma"), num("Omega"), k)
         print("P' = %s" % fmt_vertex_set(Pp))
         print("Q' = %s" % fmt_vertex_set(Qp))
         print("Q'' = %s" % fmt_vertex_set(Qpp))
     elif args.op == "cyellow":
         Xp, rep = clean_c_plus_yellow(g, args.layer, sets, Y, len(sets) - 1,
-                                      Fraction(args.Omega),
-                                      RootVal(Fraction(args.Omega2)),
-                                      Fraction(args.delta),
-                                      Fraction(args.gamma),
-                                      Fraction(args.eta), k)
+                                      num("Omega"), RootVal(num("Omega2")),
+                                      num("delta"), num("gamma"), num("eta"), k)
         for i, X in enumerate(Xp):
             print("X%d' = %s" % (i, fmt_vertex_set(X)))
     elif args.op == "cblack":
-        clusters = [frozenset(int(v) for v in c.split(",")) if c else frozenset()
+        clusters = [_vs(c, g.n, "--clusters")
                     for c in (args.clusters.split("/") if args.clusters else [])]
         X0p, X1p, rep = clean_c_plus_black(g, args.layer, sets[0], sets[1], Y,
-                                           clusters, Fraction(args.delta),
-                                           Fraction(args.eta),
-                                           Fraction(args.Omega),
-                                           RootVal(Fraction(args.Omega2)),
-                                           Fraction(args.h), k)
+                                           clusters, num("delta"), num("eta"),
+                                           num("Omega"), RootVal(num("Omega2")),
+                                           num("h"), k)
         print("X0' = %s" % fmt_vertex_set(X0p))
         print("X1' = %s" % fmt_vertex_set(X1p))
     elif args.op == "yellow":
-        Xp, rep = clean_yellow(g, layers, sets, Y, len(layers),
-                               Fraction(args.Omega), Fraction(args.gamma),
-                               Fraction(args.delta), Fraction(args.eta), k)
+        Xp, rep = clean_yellow(g, layers, sets, Y, len(layers), num("Omega"),
+                               num("gamma"), num("delta"), num("eta"), k)
         for i, X in enumerate(Xp):
             print("X%d' = %s" % (i, fmt_vertex_set(X)))
     else:  # match
-        partitions = []
-        for part in args.partitions.split(";"):
-            left, right = part.split("|")
-            partitions.append((frozenset(int(v) for v in left.split(",")),
-                               frozenset(int(v) for v in right.split(","))))
-        qpairs, Xp, rep = clean_match(g, layers, sets, Y, partitions,
-                                      len(layers), Fraction(args.Omega),
-                                      Fraction(args.gamma), Fraction(args.eta),
-                                      Fraction(args.delta), Fraction(args.eps),
-                                      Fraction(args.mu), Fraction(args.d), k)
+        partitions = [_pair(part, g.n) for part in args.partitions.split(";")]
+        qpairs, Xp, rep = clean_match(g, layers, sets, Y, partitions, len(layers),
+                                      num("Omega"), num("gamma"), num("eta"),
+                                      num("delta"), num("eps"), num("mu"), num("d"),
+                                      k)
         for j, (q0, q1) in enumerate(qpairs):
             print("Q%d = %s | %s" % (j, fmt_vertex_set(q0), fmt_vertex_set(q1)))
         for i, X in enumerate(Xp):
             print("X%d' = %s" % (i, fmt_vertex_set(X)))
-    print(rep.render())
-    return 0
+    return rep
 
 
 def _build_bundle(instance_dir, seed):

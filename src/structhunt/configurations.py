@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .exactmath import cmp_ge, cmp_le, frac
+from .exactmath import ceil_val, cmp_ge, cmp_le, frac
 from .graphcore import (LayeredGraph, _bulk_codes, _code_graph, _distinct,
                          _isin_sorted, _mask, _sized, _vertices_where)
 from .regularity import (RegularizedGraph, RegularizedMatching, Sampled,
@@ -444,16 +444,13 @@ def verify_configuration(w: ConfigurationWitness, b, split, cp: ConfigParams,
                        strict=True)
         _mindeg_clause(rep, g, "G_D", "mindeg_D(V4,V3) >= delta k", V4, V3, dd)
         vN = N.vertices()
-        ok = True
+        h1 = frac(cp.h1)
         worst = None
-        for v in sorted(V2):
-            total = g.deg("G_D", v, V3) + g.deg("G_reg", v, vN)
-            if worst is None or total < worst:
-                worst = total
-            if not cmp_ge(total, frac(cp.h1)):
-                ok = False
-        rep.add("deg_D(v,V3) + deg_reg(v,V(N)) >= h1 on V2", ok,
-                measured=worst, needed=frac(cp.h1))
+        if V2:
+            worst = int((g._degrees_of("G_D", V2, V3) +
+                         g._degrees_of("G_reg", V2, vN)).min())
+        rep.add("deg_D(v,V3) + deg_reg(v,V(N)) >= h1 on V2",
+                worst is None or worst >= ceil_val(h1), measured=worst, needed=h1)
         return rep
 
     if w.tag == "D9":
@@ -515,16 +512,16 @@ def verify_configuration(w: ConfigurationWitness, b, split, cp: ConfigParams,
         cross = helper.e_ordered("G", A, B) if A and B else 0
         rep.add("(a) E(G~[A,B]) non-empty", cross > 0, measured=cross)
         target = m_obj.vertices() | (frozenset().union(*Lstar) if Lstar else frozenset())
-        thr = (1 + frac(cp.eta_prime)) * k
+        thr = ceil_val((1 + frac(cp.eta_prime)) * k)
         eps_t = frac(cp.eps_tilde)
         for name, X in (("A", A), ("B", B)):
-            badcount = sum(1 for v in X if helper.deg("G", v, target) < thr)
+            badcount = int((helper._degrees_of("G", X, target) < thr).sum())
             rep.add("(b) all but <= eps~|%s| vertices see (1+eta')k into V(M)+L*" % name,
                     badcount <= eps_t * len(X), measured=badcount,
                     needed=eps_t * len(X))
         ok_c = True
         for X in Lstar:
-            badcount = sum(1 for v in X if helper.deg("G", v) < thr)
+            badcount = int((helper._degrees_of("G", X, None) < thr).sum())
             if badcount > eps_t * len(X):
                 ok_c = False
                 break

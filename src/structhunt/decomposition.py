@@ -243,8 +243,8 @@ def validate_bounded(bd: BoundedDecomposition, g: LayeredGraph, p: Params,
     for i, C in enumerate(bd.clusters):
         if not C:
             continue
-        degs = [g.deg("G", v, bd.E) for v in C]
-        if not (max(degs) <= p.b or min(degs) > p.b):
+        degs = g._degrees_of("G", C, bd.E)
+        if not (int(degs.max()) <= p.b or int(degs.min()) > p.b):
             okb = False
             break
     rep.add("avoiding threshold b respected", okb, needed=p.b)
@@ -258,7 +258,7 @@ def validate_sparse(sd: SparseDecomposition, g: LayeredGraph, p: Params,
     H = sd.H
     k = p.k
     if H:
-        mind = min(g.deg("G", v) for v in H)
+        mind = g.mindeg("G", H)
         rep.check_ge("1. mindeg_G(H) >= Omega** k", mind, p.omega_sstar * k)
     else:
         rep.add("1. mindeg_G(H) >= Omega** k", True, note="H empty")

@@ -226,6 +226,16 @@ def floor_val(x) -> int:
     return x.numerator // x.denominator
 
 
+def ceil_val(x) -> int:
+    """The least integer c with cmp_ge(c, x), for a rational or a RootVal.
+
+    Lets a degree loop test an integer against a fixed bound with one
+    integer comparison: deg >= x iff deg >= ceil_val(x).
+    """
+    c = floor_val(x)
+    return c if cmp_ge(c, x) else c + 1
+
+
 def cmp_le(measured, bound) -> bool:
     """measured <= bound with mixed Fraction / RootVal operands."""
     if isinstance(bound, RootVal):

@@ -381,8 +381,10 @@ class LayeredGraph:
         return np.bincount(d.rows[_mask(U, self.n)[d.cols]], minlength=self.n)
 
     def _degrees_of(self, layer, X, Y):
-        """deg(v, Y) for the members v of a non-empty X, in its order; an
-        id out of range raises deg's ValueError, the first one first."""
+        """deg(v, Y) for the members v of X, in its order; an id out of
+        range raises deg's ValueError, the first one first."""
+        if not X:
+            return np.zeros(0, dtype=np.int64)
         try:
             xs = _id_array(X)
         except OverflowError:  # an id beyond int64: deg raises on the first bad one
@@ -643,7 +645,12 @@ def parse_vertex_set(text: str, n: int) -> frozenset:
     text = text.strip()
     if not text:
         return frozenset()
-    ids = [int(t) for t in text.replace(",", " ").split()]
+    ids = []
+    for t in text.replace(",", " ").split():
+        try:
+            ids.append(int(t))
+        except ValueError:
+            raise ValueError("bad integer %r" % t) from None
     for i in ids:
         if not 0 <= i < n:
             raise ValueError("vertex id %d out of range" % i)

@@ -28,7 +28,7 @@ from .cleaning import (clean_c_plus_black, clean_c_plus_yellow, clean_match,
                        clean_yellow, envelope)
 from .configurations import (ConfigParams, ConfigurationWitness, _large_nabla,
                              verify_configuration)
-from .exactmath import frac, root4_val, sqrt_val
+from .exactmath import ceil_val, frac, root4_val, sqrt_val
 from .graphcore import _code_graph, _union_codes, _vertices_where, fmt_vertex_set
 from .lks import CommonSettingBundle
 from .regularity import RegularizedMatching, Sampled, check_regular_pair
@@ -173,8 +173,9 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
 
     target = Lpp & (b.XA | b.XB) & N_down
     sqrt_oss = sqrt_val(p.omega_sstar)
-    H_star = frozenset(v for v in Hp
-                       if sqrt_oss * k <= g.deg("G_nabla", v, target))
+    deg_target = g._degrees("G_nabla", target)
+    star = (deg_target >= ceil_val(sqrt_oss * k)).tolist()
+    H_star = frozenset(v for v in Hp if star[v])
     _record(out, "H_star", H_star)
     star_mass = g.e_ordered("G_nabla", H_star, target)
     tr.add("e(H*, L'' + (XA+XB) + N_down) >= eta~ k n/8",
@@ -192,9 +193,8 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
         _record(out, "N%d" % i, Ni)
     Cs = []
     for i, Ni in enumerate(Ns, start=1):
-        Ci = frozenset(v for v in H_star
-                       if 4 * g.deg("G_nabla", v, Ni) >=
-                       g.deg("G_nabla", v, target))
+        heavy = (4 * g._degrees("G_nabla", Ni) >= deg_target).tolist()
+        Ci = frozenset(v for v in H_star if heavy[v])
         Cs.append(Ci)
         _record(out, "C%d" % i, Ci)
     masses = [g.e_ordered("G_nabla", Cs[i], Ns[i]) for i in range(4)]
@@ -296,7 +296,8 @@ def obtain_config_exp(b: CommonSettingBundle, split: Split, YA1, YA2,
     tr.add("membership variant (both XA)", variant_63)
     tr.add("membership variant (XA minus J2,J3 vs XB)", variant_64)
 
-    YA1p = frozenset(v for v in YA1 if g.deg("G_exp", v, YA2) >= rho * k)
+    dense = (g._degrees("G_exp", YA2) >= ceil_val(rho * k)).tolist()
+    YA1p = frozenset(v for v in YA1 if dense[v])
     _record(out, "YA1_filtered", YA1p)
     exp1 = b.exp_support & split.classes[1]
     delta = eta**3 * rho**4 / (Fraction(10**14) * p.omega_star**3)
@@ -762,10 +763,10 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
 
     target = b.MAB().vertices() | lc_union
     thr = (1 + eta / 40) * k + eta * k / 200
+    low = (g._degrees(b.sd.bd.reg_layer, target) < ceil_val(thr)).tolist()
 
     def fail_set(X):
-        return frozenset(v for v in X
-                         if g.deg(b.sd.bd.reg_layer, v, target) < thr)
+        return frozenset(v for v in X if low[v])
 
     chosen = None
     for A, B in good_pairs:

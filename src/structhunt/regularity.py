@@ -26,11 +26,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
-from .exactmath import frac
+from .exactmath import ceil_val, floor_val, frac
 from .graphcore import LayeredGraph, _members
 from .report import Report
 from .rng import make_rng
@@ -317,8 +318,9 @@ def degree_typicality(g: LayeredGraph, layer, R, Qs, eps) -> Report:
         return rep
     expected = Fraction(g.e_ordered(layer, R, union), len(R))
     slack = eps * len(union)
-    low = frozenset(v for v in R if g.deg(layer, v, union) < expected - slack)
-    high = frozenset(v for v in R if g.deg(layer, v, union) > expected + slack)
+    degs = g._degrees_of(layer, R, union)
+    low = frozenset(compress(R, (degs < ceil_val(expected - slack)).tolist()))
+    high = frozenset(compress(R, (degs > floor_val(expected + slack)).tolist()))
     rep.low_violators = low
     rep.high_violators = high
     rep.info("expected degree e(R,Q)/|R|", measured=expected)

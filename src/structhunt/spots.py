@@ -400,7 +400,7 @@ def check_avoiding(g: LayeredGraph, spots, E, Lambda, eps, gamma, k,
         rng = split_rng(seed, "avoiding")
         size = int(budget)
         verts = sorted(range(g.n))
-        by_degree = sorted(verts, key=lambda v: (-g.deg("G", v), v))
+        by_degree = np.argsort(-g._degrees("G"), kind="stable").tolist()
         for i in range(trials):
             kind = i % 3
             if kind == 0 and size > 0:

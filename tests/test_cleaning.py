@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle_cleaning
 from generators import (c_plus_black_instance, c_plus_yellow_instance,
                         envelope_instance, match_instance, yellow_instance)
+from structhunt import cleaning
 from structhunt.cleaning import (clean_c_plus_black, clean_c_plus_yellow,
                                  clean_match, clean_yellow, envelope)
-from structhunt.exactmath import RootVal
+from structhunt.exactmath import RootVal, sqrt_val
 from structhunt.graphcore import LayeredGraph, norm_edge
 from util import complete_bipartite, graph_from_edges, random_bipartite_edges
 
@@ -300,3 +303,134 @@ class TestTraceReplayAllOps:
         final = replay(inputs, rep.trace)
         for i, X in enumerate(Xp):
             assert final["X%d'" % i] == X
+
+
+# -- against the per-vertex loops ------------------------------------------
+
+SPECS = ("G", "G_nabla", "G_nabla+G_D-G_exp", "G_D+G_exp")
+# bounds that land on integers (k times a whole number, perfect squares and
+# fourth roots), between them and below zero
+RATIOS = [Fraction(-1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1),
+          Fraction(3, 2), Fraction(2), Fraction(3)]
+POSITIVE = RATIOS[2:]
+ROOTS = [RootVal(1), RootVal(2), RootVal(4), RootVal(9, 1, 1), Fraction(9, 4),
+         RootVal(1, 16, 2), RootVal(1, 5, 2), RootVal(4, 3, 2), RootVal(1, 81, 2)]
+
+
+@st.composite
+def clean_inputs(draw, sets: int, stray: bool = False):
+    """A graph with four layers on 1..12 vertices and vertex sets over it;
+    with stray, the first or second set gains an id outside 0..n-1."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edge_sets = st.sets(st.sampled_from(pairs)) if pairs else st.just(set())
+    g = LayeredGraph(n, {name: draw(edge_sets)
+                         for name in ("G", "G_nabla", "G_D", "G_exp")})
+    ids = st.frozensets(st.integers(0, n - 1))
+    Xs = [draw(ids) for _ in range(sets)]
+    if stray:
+        i = draw(st.integers(0, 1))
+        Xs[i] |= {draw(st.sampled_from([-1, n, n + 5, 2 ** 70]))}
+    return g, Xs, draw(ids)
+
+
+def outcome(fn, *args):
+    """fn's result with each CleaningReport replaced by everything it shows,
+    or the name of the exception fn raised."""
+    try:
+        result = fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    rep = result[-1]
+    shown = (rep.render(), rep.trace, rep.iterations,
+             getattr(rep, "flushed_pairs", None), getattr(rep, "evictions", None))
+    return tuple(result[:-1]) + shown
+
+
+def same(op, *args):
+    new = outcome(getattr(cleaning, op), *args)
+    old = outcome(getattr(oracle_cleaning, op), *args)
+    assert new == old
+    return new
+
+
+class TestAgainstLoopForms:
+    """Each op matches its per-vertex loop form in oracle_cleaning: outputs,
+    rendered reports, traces, iteration counts, flushed pairs and evictions."""
+
+    @given(clean_inputs(2), st.sampled_from(SPECS), st.sampled_from(RATIOS),
+           st.sampled_from(POSITIVE), st.sampled_from(RATIOS), st.integers(1, 4),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_envelope(self, inputs, spec, psi, Gamma, Omega, k, disjoint):
+        g, (P, Q), Y = inputs
+        if disjoint:
+            Q -= P
+        same("envelope", g, spec, P, Q, Y, psi, Gamma, Omega, k)
+
+    @given(clean_inputs(4), st.sampled_from(SPECS), st.integers(1, 3),
+           st.sampled_from(POSITIVE), st.sampled_from(ROOTS),
+           st.sampled_from(RATIOS), st.sampled_from(POSITIVE),
+           st.sampled_from(POSITIVE), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_c_plus_yellow(self, inputs, spec, r, os_, oss, delta, gamma, eta, k):
+        g, Xs, Y = inputs
+        same("clean_c_plus_yellow", g, spec, Xs[:r + 1], Y, r, os_, oss, delta,
+             gamma, eta, k)
+
+    @given(clean_inputs(2), st.sampled_from(SPECS), st.lists(
+        st.frozensets(st.integers(-1, 13)), max_size=4),
+        st.sampled_from(RATIOS), st.sampled_from(POSITIVE), st.sampled_from(POSITIVE),
+        st.sampled_from(ROOTS), st.sampled_from([1, 2, 3, RootVal(1, 2, 2), RootVal(4)]),
+        st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_c_plus_black(self, inputs, spec, clusters, delta, eta, os_, oss, h, k):
+        """Clusters may overlap and hold ids outside the graph."""
+        g, (X0, X1), Y = inputs
+        same("clean_c_plus_black", g, spec, X0, X1, Y, clusters, delta, eta, os_,
+             oss, h, k)
+
+    @given(clean_inputs(4), st.lists(st.sampled_from(SPECS), min_size=3, max_size=3),
+           st.integers(2, 3), st.sampled_from(POSITIVE), st.sampled_from(RATIOS),
+           st.sampled_from(RATIOS), st.sampled_from(POSITIVE), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_yellow(self, inputs, specs, r, omega, gamma, delta, eta, k):
+        """A negative gamma puts the max rule's bound below zero."""
+        g, Xs, Y = inputs
+        same("clean_yellow", g, specs[:r], Xs[:r + 1], Y, r, omega, gamma, delta,
+             eta, k)
+
+    @given(clean_inputs(4), st.lists(st.sampled_from(SPECS), min_size=3, max_size=3),
+           st.integers(2, 3), st.data(), st.sampled_from(POSITIVE),
+           st.sampled_from(POSITIVE), st.sampled_from(RATIOS),
+           st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]),
+           st.sampled_from([Fraction(1, 2), Fraction(1)]), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_match(self, inputs, specs, r, data, omega, gamma, delta, d, mu, k):
+        """X_0 and X_1 are cut into pairs of at most 4 vertices a side, so the
+        hypothesis and super-regularity checks stay exact."""
+        g, Xs, Y = inputs
+        sides = [sorted(Xs[0]), sorted(Xs[1])]
+        count = max(1, (max(map(len, sides)) + 3) // 4)
+        parts = [(frozenset(sides[0][j::count]), frozenset(sides[1][j::count]))
+                 for j in range(count)]
+        if data.draw(st.booleans()) and parts[0][0]:
+            parts[0] = (parts[0][0] - {min(parts[0][0])}, parts[0][1])  # no partition
+        same("clean_match", g, specs[:r], Xs[:r + 1], Y, parts, r, omega, gamma,
+             Fraction(1, 2), delta, Fraction(1, 100), mu, d, k)
+
+    @given(clean_inputs(3, stray=True), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_ids_outside_graph_raise(self, inputs, which):
+        g, Xs, Y = inputs
+        X0, X1, _ = Xs
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        op, *args = [
+            ("envelope", g, "G", X0, X1, Y, half, half, third, 2),
+            ("clean_c_plus_yellow", g, "G", Xs, Y, 2, 2, RootVal(4), third, half,
+             half, 1),
+            ("clean_c_plus_black", g, "G", X0, X1, Y, [], third, half, 2,
+             sqrt_val(2), 2, 1),
+            ("clean_yellow", g, ["G", "G_D"], Xs, Y, 2, 2, half, third, half, 1),
+        ][which]
+        assert same(op, *args) == "ValueError"

@@ -76,6 +76,45 @@ class TestInputErrors:
         self._one_line_error(capsys, ["split", "--graph", path, "--q=" + q],
                              "structhunt: error: " + error)
 
+    @pytest.mark.parametrize("argv, error", [
+        (["cblack", "--sets", "0/4", "--clusters", "4,x"], "--clusters: bad integer 'x'"),
+        (["cblack", "--sets", "0/4", "--clusters", "4/5,99"],
+         "--clusters: vertex id 99 out of range"),
+        (["envelope", "--sets", "0/4", "--k", "abc"], "--k: bad fraction 'abc'"),
+        (["envelope", "--sets", "0/4", "--psi", "1/0"], "--psi: zero denominator in '1/0'"),
+        (["match", "--layers", "G,G", "--sets", "0/4/5", "--partitions", "0|5"],
+         "clean match: partition pair 0 leaves X_0/X_1"),
+        (["match", "--layers", "G,G", "--sets", "0/4/5", "--partitions", "0"],
+         "--partitions: bad pair '0', want A|B"),
+        (["match", "--layers", "G,G", "--sets", "0/4/5", "--partitions", "0|4,y"],
+         "--partitions: bad integer 'y'"),
+        (["cyellow", "--sets", "0"], "--sets: cyellow takes 2 or more sets, got 1"),
+        (["cblack", "--sets", "0/4/5"], "--sets: cblack takes 2 sets, got 3"),
+        (["yellow", "--sets", "0/4/5"], "--layers: yellow takes 2 or more layers"),
+        (["yellow", "--layers", "G,G", "--sets", "0/4"], "--sets: yellow takes 3 sets, got 2"),
+        (["envelope", "--sets", "0/1,9"], "--sets: vertex id 9 out of range"),
+        (["envelope", "--sets", "0/4,a"], "--sets: bad integer 'a'"),
+        (["envelope", "--sets", "0/4", "--Y", "-1"], "--Y: vertex id -1 out of range"),
+        (["envelope", "--sets", "0,4/4"], "clean envelope: P and Q overlap")])
+    def test_bad_clean_input(self, tmp_path, capsys, argv, error):
+        path = write_graph(tmp_path, K44)
+        op, *rest = argv
+        k = [] if "--k" in rest else ["--k", "1"]
+        self._one_line_error(capsys, ["clean", op, "--graph", path] + rest + k,
+                             "structhunt: error: " + error)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["shadow", "--set", "0,8", "--ell", "1"], "--set: vertex id 8 out of range"),
+        (["shadow", "--set", "0", "--ell", "x"], "--ell: bad fraction 'x'"),
+        (["check-regular", "-U", "0", "-W", "-4", "--eps", "1/4"],
+         "-W: vertex id -4 out of range"),
+        (["check-regular", "-U", "0", "-W", "4", "--eps", "1/0"],
+         "--eps: zero denominator in '1/0'")])
+    def test_bad_vertex_set_or_fraction(self, tmp_path, capsys, argv, error):
+        path = write_graph(tmp_path, K44)
+        self._one_line_error(capsys, argv[:1] + ["--graph", path] + argv[1:],
+                             "structhunt: error: " + error)
+
     def test_bad_graph_in_instance_dir(self, tmp_path, capsys):
         (tmp_path / "graph.txt").write_text("n 2\nlayer G\n0 5\n")
         self._one_line_error(capsys, ["hunt-config", str(tmp_path)],

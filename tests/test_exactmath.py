@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from structhunt.exactmath import (RootVal, floor_val, frac, ge_with_pow_slack,
-                                  le_frac_pow, root4_val, sqrt_val)
+from structhunt.exactmath import (RootVal, ceil_val, cmp_ge, floor_val, frac,
+                                  ge_with_pow_slack, le_frac_pow, root4_val, sqrt_val)
 
 
 class TestFrac:
@@ -98,3 +98,35 @@ class TestFloorVal:
                                       (Fraction(-4, 2), -2), ("7/3", 2)])
     def test_rational(self, x, f):
         assert floor_val(x) == f
+
+
+class TestCeilVal:
+    """ceil_val(x) is the least integer c with cmp_ge(c, x)."""
+
+    @staticmethod
+    def _least(x, c):
+        return cmp_ge(c, x) and not cmp_ge(c - 1, x)
+
+    @given(st.integers(-60, 60), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_rational(self, p, q):
+        assert self._least(Fraction(p, q), ceil_val(Fraction(p, q)))
+
+    @pytest.mark.parametrize("x, c", [(Fraction(5, 2), 3), (3, 3), (Fraction(-1, 2), 0),
+                                      (Fraction(-4, 2), -2), (Fraction(-5, 2), -2),
+                                      ("7/3", 3), (0, 0)])
+    def test_rational_values(self, x, c):
+        assert ceil_val(x) == c
+
+    @given(st.integers(0, 60), st.integers(1, 12), st.integers(0, 99),
+           st.sampled_from([1, 2, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_root(self, p, q, x, r):
+        val = RootVal(Fraction(p, q), x, r)
+        assert self._least(val, ceil_val(val))
+
+    @pytest.mark.parametrize("val, c", [(sqrt_val(16), 4), (sqrt_val(17), 5),
+                                        (root4_val(16), 2), (root4_val(17), 3),
+                                        (RootVal(3, 4, 2), 6), (RootVal(1, 0, 4), 0)])
+    def test_root_values(self, val, c):
+        assert ceil_val(val) == c

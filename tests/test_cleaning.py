@@ -310,8 +310,8 @@ class TestTraceReplayAllOps:
 SPECS = ("G", "G_nabla", "G_nabla+G_D-G_exp", "G_D+G_exp")
 # bounds that land on integers (k times a whole number, perfect squares and
 # fourth roots), between them and below zero
-RATIOS = [Fraction(-1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1),
-          Fraction(3, 2), Fraction(2), Fraction(3)]
+RATIOS = [Fraction(-1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
+          Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
 POSITIVE = RATIOS[2:]
 ROOTS = [RootVal(1), RootVal(2), RootVal(4), RootVal(9, 1, 1), Fraction(9, 4),
          RootVal(1, 16, 2), RootVal(1, 5, 2), RootVal(4, 3, 2), RootVal(1, 81, 2)]

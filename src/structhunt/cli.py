@@ -154,8 +154,16 @@ def cmd_clean(args) -> int:
 def _clean(args, g, layers, sets, Y):
     """Run one cleaning op, print its sets and return its report."""
 
+    divisors = {"envelope": ("psi", "Gamma"), "cyellow": ("Omega", "gamma"),
+                "cblack": ("Omega",), "yellow": ("gamma",),
+                "match": ("gamma",)}[args.op]  # the options the op divides by
+
     def num(name):
-        return _fraction(getattr(args, name), "--" + name)
+        x = _fraction(getattr(args, name), "--" + name)
+        if x == 0 and name in divisors:
+            raise InputError("--%s: must not be 0, clean %s divides by it"
+                             % (name, args.op))
+        return x
 
     k = num("k")
     if args.op == "envelope":

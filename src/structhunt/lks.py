@@ -33,10 +33,6 @@ class LKSClassification:
     is_lks: bool          # |L| >= (1/2 + eta) n
     small_clauses: Report  # the three extra class-membership clauses
 
-    @property
-    def is_lks_small(self) -> bool:
-        return self.is_lks and self.small_clauses.ok
-
 
 def classify_vertices(g: LayeredGraph, k, eta) -> LKSClassification:
     """Split V by the (1 + eta) k degree threshold and test class membership."""

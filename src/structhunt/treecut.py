@@ -9,18 +9,26 @@ W_A.  Components of the induced forest on W are knags.
 The cutter picks cut vertices one component at a time: the true centroid
 for components with at most one anchor, and the best-balancing vertex ON
 the anchor-to-anchor path for two-anchor components, which is what keeps
-every shrub's anchor count at two or below.
+every shrub's anchor count at two or below.  A cut re-floods only the
+component it splits; the other components and their anchors stay as they
+are.
+
+A tree is bipartite, so dist(a, b) is odd exactly when a and b get
+different colours in its one two-colouring.  Both the W_A/W_B split and the
+validator's parity clause rest on that fact.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from .report import Report
 
 
 @dataclass
 class Tree:
-    """Rooted tree on 0..k-1, parent array with -1 at the root."""
+    """Rooted tree on 0..k-1, parent array with -1 at the root.  The array
+    is read once, when the tree is made: do not change it afterwards."""
 
     parent: list
 
@@ -29,30 +37,36 @@ class Tree:
         return len(self.parent)
 
     def __post_init__(self):
-        roots = [v for v, p in enumerate(self.parent) if p == -1]
+        """Check the parent array, and keep the neighbour lists and the
+        two-colouring (depth parity) that the check's one traversal builds."""
+        k = self.k
+        adj = [[] for _ in range(k)]
+        roots = []
+        for v, p in enumerate(self.parent):
+            if p == -1:
+                roots.append(v)
+            elif 0 <= p < k:
+                adj[v].append(p)
+                adj[p].append(v)
+            else:
+                raise ValueError("parent[%d] = %r is outside -1..%d" % (v, p, k - 1))
         if len(roots) != 1:
             raise ValueError("tree needs exactly one root")
-        seen = 0
-        adj = self.adjacency()
-        stack = [roots[0]]
-        visited = {roots[0]}
-        while stack:
-            v = stack.pop()
-            seen += 1
+        colour = [-1] * k
+        colour[roots[0]] = 0
+        order = [roots[0]]
+        for v in order:  # grows while iterated
             for u in adj[v]:
-                if u not in visited:
-                    visited.add(u)
-                    stack.append(u)
-        if seen != self.k:
+                if colour[u] < 0:
+                    colour[u] = 1 - colour[v]
+                    order.append(u)
+        if len(order) != k:
             raise ValueError("parent array is not a connected tree")
+        self._adj, self._colour = adj, colour
 
     def adjacency(self):
-        adj = [set() for _ in range(self.k)]
-        for v, p in enumerate(self.parent):
-            if p >= 0:
-                adj[v].add(p)
-                adj[p].add(v)
-        return adj
+        """Neighbour lists, built once with the tree; do not modify them."""
+        return self._adj
 
     def edges(self):
         return [(min(v, p), max(v, p)) for v, p in enumerate(self.parent)
@@ -60,19 +74,36 @@ class Tree:
 
 
 def load_tree(text: str) -> Tree:
-    """Format: 'n <k>' then one 'v parent' line per vertex (root parent -1)."""
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if head[0] != "n" or len(head) != 2:
-        raise ValueError("expected 'n <k>' header")
-    k = int(head[1])
+    """Format: 'n <k>' then one 'v parent' line per vertex (root parent -1).
+    A malformed line raises ValueError naming its line number."""
+    rows = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
+            if ln.strip() and not ln.startswith("#")]
+
+    def num(i, x):
+        try:
+            return int(x)
+        except ValueError:
+            raise ValueError("line %d: bad integer %r" % (i, x)) from None
+
+    if not rows or rows[0][1][0] != "n" or len(rows[0][1]) != 2:
+        raise ValueError("line %d: expected 'n <k>' header" % (rows[0][0] if rows else 1))
+    k = num(rows[0][0], rows[0][1][1])
+    if k < 1:
+        raise ValueError("line %d: tree order %d is not positive" % (rows[0][0], k))
     parent = [None] * k
-    for ln in lines[1:]:
-        v, p = (int(x) for x in ln.split())
+    for i, fields in rows[1:]:
+        if len(fields) != 2:
+            raise ValueError("line %d: want 'v parent', got %r" % (i, " ".join(fields)))
+        v, p = num(i, fields[0]), num(i, fields[1])
+        if not 0 <= v < k:
+            raise ValueError("line %d: vertex %d is outside 0..%d" % (i, v, k - 1))
+        if not -1 <= p < k:
+            raise ValueError("line %d: parent %d is outside -1..%d" % (i, p, k - 1))
+        if parent[v] is not None:
+            raise ValueError("line %d: vertex %d given twice" % (i, v))
         parent[v] = p
-    if any(p is None for p in parent):
-        raise ValueError("missing parent entries")
+    if None in parent:
+        raise ValueError("no parent line for vertex %d" % parent.index(None))
     return Tree(parent)
 
 
@@ -116,97 +147,57 @@ class FinePartition:
 
 
 def _components_with_anchors(adj, removed):
-    k = len(adj)
-    out = []
-    seen = set(removed)
-    for start in range(k):
-        if start in seen:
+    """Components of the tree minus removed, in order of least vertex, each
+    with the removed vertices adjacent to it: one labelling flood, then one
+    look at the neighbours of each removed vertex."""
+    label = [-1] * len(adj)
+    for w in removed:
+        label[w] = -2
+    comps = []
+    for start in range(len(adj)):
+        if label[start] != -1:
             continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
+        label[start] = len(comps)
+        comp = [start]
+        for v in comp:  # grows while iterated
             for u in adj[v]:
-                if u in removed or u in comp:
-                    continue
-                comp.add(u)
-                stack.append(u)
-        seen |= comp
-        anchors = frozenset(w for w in removed
-                            if any(u in comp for u in adj[w]))
-        out.append((frozenset(comp), anchors))
-    return out
+                if label[u] == -1:
+                    label[u] = len(comps)
+                    comp.append(u)
+        comps.append(comp)
+    anchors = [set() for _ in comps]
+    for w in removed:
+        for u in adj[w]:
+            if label[u] >= 0:
+                anchors[label[u]].add(w)
+    return [(frozenset(c), frozenset(a)) for c, a in zip(comps, anchors)]
 
 
-def _best_cut_vertex(adj, comp, candidates):
-    """Candidate minimizing the largest resulting piece within comp.
-
-    comp is a connected subtree, so one pass from its lowest vertex gives
-    every subtree size: removing c leaves c's child subtrees and the rest
-    of comp above c.  Ties go to the lowest id.
-    """
-    root = min(comp)
-    parent = {root: None}
-    order = [root]
-    for v in order:  # grows while iterated: parents precede children
-        for u in adj[v]:
-            if u in comp and u not in parent:
-                parent[u] = v
-                order.append(u)
-    size = dict.fromkeys(order, 1)
-    heaviest_child = dict.fromkeys(order, 0)
-    for v in reversed(order[1:]):
-        p = parent[v]
-        size[p] += size[v]
-        heaviest_child[p] = max(heaviest_child[p], size[v])
-    best = None
-    best_size = None
-    for c in sorted(candidates):
-        worst = max(heaviest_child[c], len(comp) - size[c])
-        if best is None or worst < best_size:
-            best, best_size = c, worst
-    return best
-
-
-def _path_between(adj, comp, a, b):
-    """Vertices of comp on the tree path between anchors a and b."""
-    # BFS from the neighbour side of a within comp toward b
-    start_candidates = [u for u in adj[a] if u in comp]
-    prev = {}
-    from collections import deque
-
-    q = deque()
-    for s in start_candidates:
-        q.append(s)
-        prev[s] = None
-    target = None
-    while q:
-        v = q.popleft()
-        if b in adj[v]:
-            target = v
-            break
-        for u in adj[v]:
-            if u in comp and u not in prev:
-                prev[u] = v
-                q.append(u)
-    if target is None:
-        return sorted(comp)  # b not reachable through comp; fall back
+def _tree_path(par, a, b):
+    """Vertices on the tree path between a and b, read from a BFS parent
+    array (-1 at its root) of a subtree holding both."""
+    up = [a]
+    while par[up[-1]] != -1:
+        up.append(par[up[-1]])
+    on_up = set(up)
     path = []
-    v = target
-    while v is not None:
-        path.append(v)
-        v = prev[v]
-    return path
+    while b not in on_up:
+        path.append(b)
+        b = par[b]
+    return path + up[:up.index(b) + 1]
 
 
 def fine_partition(t: Tree, target_w: int, c: int = 2) -> FinePartition:
     """Cut-vertex selection by component splitting, then A/B colouring.
 
-    Components with two anchors are split on the anchor path (keeps every
-    shrub at <= 2 anchors); others at their centroid.  W_B collects cut
-    vertices only when the parity and internal-anchor constraints allow a
-    two-colour split, else W_B is empty (which satisfies every clause
-    vacuously).
+    The largest component above ceil(c k / budget) is cut next (ties to the
+    least vertex); once none is above it, the largest with two or more
+    vertices takes one last cut.  Components with two anchors are split on
+    the anchor path (keeps every shrub at <= 2 anchors); others at their
+    centroid, the vertex whose largest remaining piece is least (ties to
+    the lowest id).  W_B collects cut vertices only when the parity and
+    internal-anchor constraints allow a two-colour split, else W_B is empty
+    (which satisfies every clause vacuously).
     """
     if target_w > t.k:
         raise ValueError("cut budget exceeds tree order")
@@ -214,39 +205,63 @@ def fine_partition(t: Tree, target_w: int, c: int = 2) -> FinePartition:
         raise ValueError("cut budget must be positive")
     if t.k < 2:
         raise ValueError("tree must have at least 2 vertices")
-    adj = t.adjacency()
+    adj, k = t.adjacency(), t.k
+    limit = -(-c * k // target_w)  # ceil(c k / budget)
+    label = [0] * k  # the component of each vertex, -1 once cut
+    # BFS parent, subtree size, largest child subtree size and that child,
+    # per vertex of the component being cut
+    par, size, heavy, hchild = [0] * k, [0] * k, [0] * k, [0] * k
+    # (-size, least vertex, label, {anchor: the one vertex it touches})
+    heap = [(-k, 0, 0, {})]
     W = set()
-    limit = -(-c * t.k // target_w)  # ceil(c k / budget)
-    while len(W) < target_w:
-        comps = _components_with_anchors(adj, W)
-        big = [(comp, anchors) for comp, anchors in comps if len(comp) > limit]
-        pool = big if big else [(comp, anchors) for comp, anchors in comps
-                                if len(comp) > 1]
-        if not pool:
-            break
-        comp, anchors = max(pool, key=lambda ca: (len(ca[0]), -min(ca[0])))
-        if len(anchors) >= 2:
-            a, b = sorted(anchors)[:2]
-            candidates = _path_between(adj, comp, a, b)
-        else:
-            candidates = comp
-        W.add(_best_cut_vertex(adj, comp, candidates))
-        if not big and len(W) >= 1:
+    while len(W) < target_w and heap[0][0] < -1:
+        neg, root, lab, anchors = heapq.heappop(heap)
+        n = -neg
+        par[root], size[root], heavy[root] = -1, 1, 0
+        order = [root]
+        for v in order:  # grows while iterated: parents precede children
+            for u in adj[v]:
+                if label[u] == lab and u != par[v]:
+                    par[u], size[u], heavy[u] = v, 1, 0
+                    order.append(u)
+        for v in reversed(order[1:]):
+            p = par[v]
+            size[p] += size[v]
+            if size[v] > heavy[p]:
+                heavy[p], hchild[p] = size[v], v
+        if len(anchors) == 2:
+            cut = min(_tree_path(par, *anchors.values()),
+                      key=lambda v: (max(heavy[v], n - size[v]), v))
+        else:  # the centroid (one, or two adjacent): go down while a child
+            # subtree holds over half of the component
+            cut = root
+            while 2 * heavy[cut] > n:
+                cut = hchild[cut]
+            if 2 * heavy[cut] == n:  # that child is the second centroid
+                cut = min(cut, hchild[cut])
+        W.add(cut)
+        label[cut] = -1
+        for u in adj[cut]:  # each child subtree of cut becomes a component
+            if label[u] != lab or u == par[cut]:
+                continue
+            label[u] = fresh = len(W) * k + u  # unused by any other component
+            piece = [u]
+            for v in piece:
+                for x in adj[v]:
+                    if label[x] == lab:
+                        label[x] = fresh
+                        piece.append(x)
+            touch = {a: x for a, x in anchors.items() if label[x] == fresh}
+            touch[cut] = u
+            heapq.heappush(heap, (-size[u], min(piece), fresh, touch))
+        if cut != root:  # the rest above cut keeps the label and least vertex
+            touch = {a: x for a, x in anchors.items() if label[x] == lab}
+            touch[cut] = par[cut]
+            heapq.heappush(heap, (size[cut] - n, root, lab, touch))
+        if n <= limit:
             break
 
-    # two-colour the tree, then assign W_A/W_B
-    colour = [0] * t.k
-    root = t.parent.index(-1)
-    stack = [root]
-    seen = {root}
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                colour[u] = 1 - colour[v]
-                seen.add(u)
-                stack.append(u)
-
+    colour = t._colour
     comps = _components_with_anchors(adj, W)
     internal_anchors = set()
     for comp, anchors in comps:
@@ -286,7 +301,8 @@ def _knag_components(adj, W):
 
 
 def validate_fine_partition(fp: FinePartition) -> Report:
-    """Exact check of every fine-partition clause via BFS recomputation."""
+    """Exact check of every fine-partition clause: parity from the tree's
+    two-colouring, shrubs from one labelling of T - W."""
     t = fp.tree
     adj = t.adjacency()
     rep = Report("fine partition")
@@ -296,27 +312,9 @@ def validate_fine_partition(fp: FinePartition) -> Report:
     rep.add("W_A and W_B disjoint", not (fp.W_A & fp.W_B))
     rep.add("|W| within budget", len(W) <= fp.budget, measured=len(W),
             needed=fp.budget)
-
-    from collections import deque
-
-    def bfs_dist(src):
-        dist = {src: 0}
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            for u in adj[v]:
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    q.append(u)
-        return dist
-
-    parity_ok = True
-    for a in sorted(fp.W_A):
-        dist = bfs_dist(a)
-        for b in sorted(fp.W_B):
-            if dist[b] % 2 == 0:
-                parity_ok = False
-    rep.add("all W_A-W_B distances odd", parity_ok)
+    colour = t._colour
+    rep.add("all W_A-W_B distances odd",
+            not ({colour[a] for a in fp.W_A} & {colour[b] for b in fp.W_B}))
 
     comps = _components_with_anchors(adj, W)
     expected = {comp: anchors for comp, anchors in comps}

@@ -95,7 +95,21 @@ class TestInputErrors:
         (["envelope", "--sets", "0/1,9"], "--sets: vertex id 9 out of range"),
         (["envelope", "--sets", "0/4,a"], "--sets: bad integer 'a'"),
         (["envelope", "--sets", "0/4", "--Y", "-1"], "--Y: vertex id -1 out of range"),
-        (["envelope", "--sets", "0,4/4"], "clean envelope: P and Q overlap")])
+        (["envelope", "--sets", "0,4/4"], "clean envelope: P and Q overlap"),
+        (["envelope", "--sets", "0/4", "--psi", "0"],
+         "--psi: must not be 0, clean envelope divides by it"),
+        (["envelope", "--sets", "0/4", "--Gamma", "0/3"],
+         "--Gamma: must not be 0, clean envelope divides by it"),
+        (["cyellow", "--sets", "0/4", "--gamma", "0"],
+         "--gamma: must not be 0, clean cyellow divides by it"),
+        (["cyellow", "--sets", "0/4", "--Omega", "0"],
+         "--Omega: must not be 0, clean cyellow divides by it"),
+        (["cblack", "--sets", "0/4", "--Omega", "0"],
+         "--Omega: must not be 0, clean cblack divides by it"),
+        (["yellow", "--layers", "G,G", "--sets", "0/4/5", "--gamma", "0"],
+         "--gamma: must not be 0, clean yellow divides by it"),
+        (["match", "--layers", "G,G", "--sets", "0/4/5", "--partitions", "0|4",
+          "--gamma", "0"], "--gamma: must not be 0, clean match divides by it")])
     def test_bad_clean_input(self, tmp_path, capsys, argv, error):
         path = write_graph(tmp_path, K44)
         op, *rest = argv

@@ -1,6 +1,10 @@
+import dataclasses
+import random
+import re
+
 import pytest
 
-from structhunt import treecut
+import oracle_treecut
 from structhunt.treecut import (FinePartition, Shrub, Tree, dump_tree,
                                 fine_partition, load_tree, random_tree,
                                 validate_fine_partition)
@@ -26,6 +30,33 @@ class TestTreeBasics:
     def test_two_roots_rejected(self):
         with pytest.raises(ValueError):
             Tree([-1, -1, 0])
+
+    @pytest.mark.parametrize("parent, error", [
+        ([-1, 5], "parent[1] = 5 is outside -1..1"),
+        ([-1, 0, -3], "parent[2] = -3 is outside -1..2"),
+        ([1, 2], "parent[1] = 2 is outside -1..1")])
+    def test_parent_out_of_range_rejected(self, parent, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            Tree(parent)
+
+    @pytest.mark.parametrize("text, error", [
+        ("", "line 1: expected 'n <k>' header"),
+        ("# only a comment\n", "line 1: expected 'n <k>' header"),
+        ("0 -1\n", "line 1: expected 'n <k>' header"),
+        ("n x\n0 -1\n", "line 1: bad integer 'x'"),
+        ("# c\nn 0\n", "line 2: tree order 0 is not positive"),
+        ("n 3\n0 -1\n1 0\n5 1\n", "line 4: vertex 5 is outside 0..2"),
+        ("n 3\n0 -1\n-1 0\n2 1\n", "line 3: vertex -1 is outside 0..2"),
+        ("n 3\n0 -1\n1 0\n2 7\n", "line 4: parent 7 is outside -1..2"),
+        ("n 3\n0 -1\n1 0\n2 -2\n", "line 4: parent -2 is outside -1..2"),
+        ("n 3\n0 -1\n1 0\n2 x\n", "line 4: bad integer 'x'"),
+        ("# c\nn 3\n\n0 -1\n1 0 2\n", "line 5: want 'v parent', got '1 0 2'"),
+        ("n 3\n0 -1\n1 0\n1 0\n", "line 4: vertex 1 given twice"),
+        ("n 3\n0 -1\n2 0\n", "no parent line for vertex 1"),
+        ("n 3\n0 -1\n1 2\n2 1\n", "parent array is not a connected tree")])
+    def test_malformed_tree_text_named(self, text, error):
+        with pytest.raises(ValueError, match=re.escape(error)):
+            load_tree(text)
 
 
 class TestFinePartition:
@@ -114,16 +145,143 @@ def _best_cut_vertex_loop(adj, comp, candidates):
 
 class TestCutVertexReference:
     def test_partitions_match_loop_reference(self, monkeypatch):
+        """The library against the reference cutter with its cut vertex
+        chosen by flooding every piece of every candidate."""
         cases = [(k, budget, seed) for k in (2, 3, 10, 50, 200)
                  for budget in (1, 2, 4, 16) if budget <= k
                  for seed in range(12)]
         fast = [fine_partition(random_tree(k, seed), budget)
                 for k, budget, seed in cases]
-        monkeypatch.setattr(treecut, "_best_cut_vertex", _best_cut_vertex_loop)
+        monkeypatch.setattr(oracle_treecut, "_best_cut_vertex", _best_cut_vertex_loop)
         for fp, (k, budget, seed) in zip(fast, cases):
-            ref = fine_partition(random_tree(k, seed), budget)
+            ref = oracle_treecut.fine_partition(random_tree(k, seed), budget)
             assert (fp.W_A, fp.W_B) == (ref.W_A, ref.W_B), (k, budget, seed)
             assert fp.shrubs == ref.shrubs and fp.knags == ref.knags
+
+
+def relabel(t, perm):
+    """t with vertex v renamed perm[v]."""
+    parent = [None] * t.k
+    for v, p in enumerate(t.parent):
+        parent[perm[v]] = -1 if p == -1 else perm[p]
+    return Tree(parent)
+
+
+def caterpillar_tree(spine, legs):
+    """A path of spine vertices with legs leaves hanging off each."""
+    return Tree([-1] + list(range(spine - 1))
+                + [v for v in range(spine) for _ in range(legs)])
+
+
+def criterion_10_cases():
+    """The 3000 (tree, budget) pairs of acceptance criterion 10."""
+    combos = [(k, budget) for k in (10, 50, 200) for budget in (1, 4, 16)
+              if budget <= k]
+    per_combo = 3000 // len(combos) + 1
+    cases = [(k, budget, seed) for k, budget in combos for seed in range(per_combo)]
+    return [(random_tree(k, seed * 131 + k + budget), budget)
+            for k, budget, seed in cases[:3000]]
+
+
+def failed(rep):
+    return [item.item for item in rep.items if item.passed is False]
+
+
+class TestAgainstOracle:
+    """fine_partition and validate_fine_partition against the reference
+    cutter and validator in oracle_treecut: W_A, W_B, shrubs in order,
+    knags in order and the validator's rendered report."""
+
+    @staticmethod
+    def assert_same(t, budget):
+        new = fine_partition(t, budget)
+        old = oracle_treecut.fine_partition(t, budget)
+        case = (t.k, budget, t.parent[:12])
+        assert (new.W_A, new.W_B) == (old.W_A, old.W_B), case
+        assert new.shrubs == old.shrubs and new.knags == old.knags, case
+        assert (validate_fine_partition(new).render()
+                == oracle_treecut.validate_fine_partition(old).render()), case
+
+    def test_criterion_10_trees(self):
+        for t, budget in criterion_10_cases():
+            self.assert_same(t, budget)
+
+    def test_relabelled_trees(self):
+        """Seeded permutations with the root away from 0, and the reversal
+        that puts every parent id above its children's."""
+        for k in (2, 3, 5, 17, 60, 200):
+            for seed in range(8):
+                t = random_tree(k, 1000 + seed)
+                perm = list(range(k))
+                rng = random.Random(seed)
+                while perm[0] == 0:
+                    rng.shuffle(perm)
+                for u in (relabel(t, perm), relabel(t, list(range(k - 1, -1, -1)))):
+                    assert u.parent[0] != -1
+                    for budget in (1, 3, 8):
+                        if budget <= k:
+                            self.assert_same(u, budget)
+
+    def test_paths_stars_caterpillars(self):
+        for k in (2, 3, 4, 7, 8, 9, 16, 31):
+            mid = k // 2
+            trees = [path_tree(k), star_tree(k),
+                     relabel(path_tree(k), [(v + mid) % k for v in range(k)]),
+                     relabel(star_tree(k), [(v + mid) % k for v in range(k)])]
+            for t in trees:
+                for budget in range(1, k + 1):
+                    self.assert_same(t, budget)
+        for spine, legs in ((1, 3), (2, 1), (5, 2), (6, 3), (12, 4)):
+            t = caterpillar_tree(spine, legs)
+            for budget in range(1, t.k + 1):
+                self.assert_same(t, budget)
+
+    def test_order_1000(self):
+        for seed in range(3):
+            t = random_tree(1000, 77 + seed)
+            for budget in (1, 4, 16, 64):
+                self.assert_same(t, budget)
+
+    def test_mutated_partitions_fail_the_same_clauses(self):
+        """Move a W_A vertex to W_B, drop a shrub, add an anchor, merge two
+        knags: the validator fails exactly the clauses the reference does."""
+        caught = dict.fromkeys(("move", "drop", "anchor", "merge"), 0)
+        rng = random.Random(5)
+        for k in (2, 3, 6, 20, 80):
+            for budget in (1, 2, 5, 12):
+                if budget > k:
+                    continue
+                for seed in range(15):
+                    t = random_tree(k, seed * 17 + k)
+                    if seed % 2:
+                        t = relabel(t, list(range(k - 1, -1, -1)))
+                    for kind, fp in self.mutants(fine_partition(t, budget), rng):
+                        new = validate_fine_partition(fp)
+                        old = oracle_treecut.validate_fine_partition(fp)
+                        assert failed(new) == failed(old), (kind, k, budget, seed)
+                        assert new.render() == old.render()
+                        caught[kind] += bool(failed(old))
+        assert all(caught.values()), caught
+
+    @staticmethod
+    def mutants(fp, rng):
+        out = []
+        if fp.W_A:
+            v = rng.choice(sorted(fp.W_A))
+            out.append(("move", dataclasses.replace(fp, W_A=fp.W_A - {v},
+                                                    W_B=fp.W_B | {v})))
+        i = rng.randrange(len(fp.shrubs))
+        out.append(("drop", dataclasses.replace(fp, shrubs=fp.shrubs[:i] + fp.shrubs[i + 1:])))
+        extra = sorted(set(range(fp.tree.k)) - fp.shrubs[i].anchors)
+        shrubs = list(fp.shrubs)
+        shrubs[i] = Shrub(shrubs[i].vertices, shrubs[i].anchors | {rng.choice(extra)})
+        out.append(("anchor", dataclasses.replace(fp, shrubs=shrubs)))
+        if len(fp.knags) >= 2:
+            a, b = rng.sample(range(len(fp.knags)), 2)
+            knags = [q for j, q in enumerate(fp.knags) if j not in (a, b)]
+            out.append(("merge", dataclasses.replace(
+                fp, knags=knags + [fp.knags[a] | fp.knags[b]])))
+        return out
 
 
 class TestValidatorCatchesBadInputs:

@@ -522,7 +522,7 @@ def _edge_block(body: str, n: int):
     uv = _digit_records(body, " \n")
     if uv is None:
         return None
-    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    lo, hi = np.minimum(uv[:, 0], uv[:, 1]), np.maximum(uv[:, 0], uv[:, 1])
     if (lo == hi).any() or hi.max() >= n:
         return None
     codes = np.sort(_encode(lo, hi, n))

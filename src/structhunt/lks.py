@@ -5,16 +5,16 @@ The common setting takes a graph with a sparse decomposition plus two
 regularized matchings and derives, by fixed formulas, the sets the whole
 case analysis runs on: XA/XB/XC, S0, V_plus, L_sharp, V_good, YA/YB, the
 shadow-based bad sets J*, the cover family F, and the matchings M_good and
-N_E.  Derivation is a pure function of its inputs: re-deriving yields the
-identical bundle.
+N_E.  Each set is computed on its first read, from the graph the bundle
+was derived from, and then kept: a set no caller reads is never computed,
+and re-deriving yields the identical sets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .decomposition import Params, SparseDecomposition, captured_subgraph
 from .exactmath import frac, sqrt_val
@@ -57,39 +57,85 @@ def classify_vertices(g: LayeredGraph, k, eta) -> LKSClassification:
     return LKSClassification(L, S, is_lks, rep)
 
 
+# The derived sets of the common setting, in the paper's order: name ->
+# formula(bundle, pinned graph, params).  A formula reads the sets it needs
+# as bundle attributes, so each set is computed on its first read and kept.
+# Names with a leading underscore are intermediates shared by two or more.
+_FORMULAS = {
+    "_exp_support": lambda b, g, p: _support(g, b.sd.bd.exp_layer),
+    "_vmab": lambda b, g, p: b.MA.vertices() | b.MB.vertices(),
+    "L": lambda b, g, p: classify_vertices(g, p.k, p.eta).L,
+    "S": lambda b, g, p: g.vertices() - b.L,
+    "S0": lambda b, g, p: b.S - (b._exp_support | b.E),
+    "_XABC": lambda b, g, p: compute_XABC(g, b.L, b.S, b._exp_support, b.E,
+                                          b.MA, b.MB, p.k, p.eta),
+    "XA": lambda b, g, p: b._XABC[0],
+    "XB": lambda b, g, p: b._XABC[1],
+    "XC": lambda b, g, p: b._XABC[2],
+    "deg_hat": lambda b, g, p: b._XABC[3],
+    "V_plus": lambda b, g, p: g.vertices() - (b.S0 - b._vmab),
+    "L_sharp": lambda b, g, p: b.L - _vertices_where(
+        g._degrees("G_nabla") >= math.ceil((1 + Fraction(9, 10) * p.eta) * p.k)),
+    "V_good": lambda b, g, p: b.V_plus - (b.H | b.L_sharp),
+    "_uncaptured_shadow": lambda b, g, p: shadow(g, "G-G_nabla", g.vertices(),
+                                                 p.eta * p.k / 100),
+    "YA": lambda b, g, p: shadow(g, "G_nabla", b.V_plus - b.L_sharp,
+                                 (1 + p.eta / 10) * p.k) - b._uncaptured_shadow,
+    "YB": lambda b, g, p: shadow(g, "G_nabla", b.V_plus - b.L_sharp,
+                                 (1 + p.eta / 10) * p.k / 2) - b._uncaptured_shadow,
+    "V_not_to_H": lambda b, g, p: (b.XA | b.XB) & shadow(g, "G", b.H, p.eta * p.k / 100),
+    "V_to_E": lambda b, g, p: shadow(g, "G_nabla", b.E, p.rho * p.k / (100 * p.omega_star),
+                                     exclude=b.H),
+    "clusters_to_E": lambda b, g, p: tuple(C for C in b.sd.bd.clusters if C <= b.V_to_E),
+    "N_E": lambda b, g, p: _sub_matching(b.MAB(), lambda X, Y: (X | Y) & b.E),
+    "M_good": lambda b, g, p: _sub_matching(b.MA, lambda X, Y: (X | Y) <= b.XA),
+    "J_E": lambda b, g, p: shadow(g, "G_reg", b.N_E.vertices(), p.gamma * p.k) - b._vmab,
+    "J1": lambda b, g, p: shadow(g, "G_reg", g.vertices() - b._vmab,
+                                 p.gamma * p.k) - b._vmab,
+    "J": lambda b, g, p: (
+        (b.XA - b.YA) | ((b.XA | b.XB) - b.YB) | b.V_not_to_H | b.L_sharp | b.J1
+        | shadow(g, "G_D+G_nabla", b.V_not_to_H | b.L_sharp | b.J_E | b.J1,
+                 p.eta * p.eta * p.k / 10**5)),
+    "J2": lambda b, g, p: b.XA & shadow(g, "G_nabla", b.S0 - b.MA.vertices(),
+                                        sqrt_val(p.gamma) * p.k),
+    "J3": lambda b, g, p: b.XA & shadow(g, "G_nabla", b.XA, p.eta**3 * p.k / 10**3),
+    "F_cover": lambda b, g, p: tuple([C for C in b.MA.members() if C <= b.XA]
+                                     + b.MB.firsts()),
+    "R": lambda b, g, p: shadow(g, "G_nabla", (b.V_to_E & b.L) - b._vmab,
+                                2 * p.eta * p.eta * p.k / 10**5),
+}
+DERIVED = tuple(name for name in _FORMULAS if not name.startswith("_"))
+
+
+def _sub_matching(M: RegularizedMatching, keep) -> RegularizedMatching:
+    """The pairs (X, Y) of M with keep(X, Y), under M's parameters."""
+    return replace(M, pairs=[(X, Y) for X, Y in M.pairs if keep(X, Y)])
+
+
 @dataclass
 class CommonSettingBundle:
-    """Everything the case analysis derives from (g, sd, p, M_A, M_B)."""
+    """Everything the case analysis derives from (g, sd, p, M_A, M_B).
+
+    Each name in DERIVED is computed on first read by its formula in
+    _FORMULAS, from the graph the bundle was made with, and then kept.  A
+    later replacement of g changes no derived set; exp_support follows it.
+    """
 
     g: LayeredGraph
     sd: SparseDecomposition
     p: Params
     MA: RegularizedMatching
     MB: RegularizedMatching
-    L: frozenset = frozenset()
-    S: frozenset = frozenset()
-    S0: frozenset = frozenset()
-    deg_hat: dict = field(default_factory=dict)
-    XA: frozenset = frozenset()
-    XB: frozenset = frozenset()
-    XC: frozenset = frozenset()
-    V_plus: frozenset = frozenset()
-    L_sharp: frozenset = frozenset()
-    V_good: frozenset = frozenset()
-    YA: frozenset = frozenset()
-    YB: frozenset = frozenset()
-    V_not_to_H: frozenset = frozenset()
-    V_to_E: frozenset = frozenset()
-    clusters_to_E: tuple = ()
-    N_E: Optional[RegularizedMatching] = None
-    M_good: Optional[RegularizedMatching] = None
-    J_E: frozenset = frozenset()
-    J1: frozenset = frozenset()
-    J: frozenset = frozenset()
-    J2: frozenset = frozenset()
-    J3: frozenset = frozenset()
-    F_cover: tuple = ()
-    R: frozenset = frozenset()
+
+    def __post_init__(self):
+        self._derived_from = self.g
+
+    def __getattr__(self, name):
+        formula = _FORMULAS.get(name)
+        if formula is None:
+            raise AttributeError("%s has no attribute %r" % (type(self).__name__, name))
+        value = self.__dict__[name] = formula(self, self._derived_from, self.p)
+        return value
 
     @property
     def H(self) -> frozenset:
@@ -151,59 +197,12 @@ def compute_XABC(g: LayeredGraph, L, S, exp_support, E, MA: RegularizedMatching,
 def derive_common_sets(g: LayeredGraph, sd: SparseDecomposition, p: Params,
                        MA: RegularizedMatching, MB: RegularizedMatching
                        ) -> CommonSettingBundle:
-    """Compute every derived set of the common setting by its formula."""
+    """Install the G_nabla and G_D layers; the sets follow on first read."""
     if not g.has_layer("G_nabla"):
         g = captured_subgraph(sd, g, "G_nabla")
     if not g.has_layer("G_D"):
         g = g._with_codes("G_D", _cover_codes(sd.bd.spots, g.n))
-
-    k, eta, gamma, rho = p.k, p.eta, p.gamma, p.rho
-    b = CommonSettingBundle(g, sd, p, MA, MB)
-    cls = classify_vertices(g, k, eta)
-    b.L, b.S = cls.L, cls.S
-    H, E = sd.H, sd.bd.E
-    exp_support = b.exp_support
-    vmab = MA.vertices() | MB.vertices()
-
-    b.S0 = b.S - (exp_support | E)
-    b.XA, b.XB, b.XC, b.deg_hat = compute_XABC(g, b.L, b.S, exp_support, E,
-                                               MA, MB, k, eta)
-    b.V_plus = g.vertices() - (b.S0 - vmab)
-    thr_nabla = (1 + Fraction(9, 10) * eta) * k
-    L_nabla = _vertices_where(g._degrees("G_nabla") >= math.ceil(thr_nabla))
-    b.L_sharp = b.L - L_nabla
-    b.V_good = b.V_plus - (H | b.L_sharp)
-
-    uncaptured_shadow = shadow(g, "G-G_nabla", g.vertices(), eta * k / 100)
-    b.YA = shadow(g, "G_nabla", b.V_plus - b.L_sharp,
-                  (1 + eta / 10) * k) - uncaptured_shadow
-    b.YB = shadow(g, "G_nabla", b.V_plus - b.L_sharp,
-                  (1 + eta / 10) * k / 2) - uncaptured_shadow
-    b.V_not_to_H = (b.XA | b.XB) & shadow(g, "G", H, eta * k / 100)
-    b.V_to_E = shadow(g, "G_nabla", E, rho * k / (100 * p.omega_star), exclude=H)
-    b.clusters_to_E = tuple(C for C in sd.bd.clusters if C <= b.V_to_E)
-
-    mab = MA.union(MB)
-    ne_pairs = [(X, Y) for X, Y in mab.pairs if (X | Y) & E]
-    b.N_E = RegularizedMatching(ne_pairs, mab.eps, mab.d, mab.ell, mab.layer)
-    b.M_good = RegularizedMatching([(X, Y) for X, Y in MA.pairs
-                                    if (X | Y) <= b.XA],
-                                   MA.eps, MA.d, MA.ell, MA.layer)
-
-    b.J_E = shadow(g, "G_reg", b.N_E.vertices(), gamma * k) - vmab
-    b.J1 = shadow(g, "G_reg", g.vertices() - vmab, gamma * k) - vmab
-    b.J = (b.XA - b.YA) | ((b.XA | b.XB) - b.YB) | b.V_not_to_H | b.L_sharp \
-        | b.J1 | shadow(g, "G_D+G_nabla",
-                        b.V_not_to_H | b.L_sharp | b.J_E | b.J1,
-                        eta * eta * k / 10**5)
-    b.J2 = b.XA & shadow(g, "G_nabla", b.S0 - MA.vertices(), sqrt_val(gamma) * k)
-    b.J3 = b.XA & shadow(g, "G_nabla", b.XA, eta**3 * k / 10**3)
-
-    fam = [C for C in MA.members() if C <= b.XA]
-    fam += MB.firsts()
-    b.F_cover = tuple(fam)
-    b.R = shadow(g, "G_nabla", (b.V_to_E & b.L) - vmab, 2 * eta * eta * k / 10**5)
-    return b
+    return CommonSettingBundle(g, sd, p, MA, MB)
 
 
 def check_common_setting(b: CommonSettingBundle) -> Report:

@@ -262,7 +262,11 @@ def fine_partition(t: Tree, target_w: int, c: int = 2) -> FinePartition:
             break
 
     colour = t._colour
-    comps = _components_with_anchors(adj, W)
+    members = {}  # the heap holds every component: group vertices by label
+    for v, lab in enumerate(label):
+        members.setdefault(lab, []).append(v)
+    comps = [(frozenset(members[lab]), frozenset(anchors))
+             for _, _, lab, anchors in sorted(heap, key=lambda entry: entry[1])]
     internal_anchors = set()
     for comp, anchors in comps:
         if len(anchors) == 2:
@@ -300,6 +304,10 @@ def _knag_components(adj, W):
     return knags
 
 
+def _least(vertices) -> int:
+    return min(vertices, default=-1)
+
+
 def validate_fine_partition(fp: FinePartition) -> Report:
     """Exact check of every fine-partition clause: parity from the tree's
     two-colouring, shrubs from one labelling of T - W."""
@@ -329,8 +337,9 @@ def validate_fine_partition(fp: FinePartition) -> Report:
     big = max((len(comp) for comp, _ in comps), default=0)
     rep.add("shrub order <= ceil(c k / |W|)", big <= limit, measured=big,
             needed=limit)
+    # disjoint non-empty knags have distinct least vertices
     rep.add("knags are the components of T[W]",
-            sorted(fp.knags) == sorted(_knag_components(adj, W)))
+            sorted(fp.knags, key=_least) == sorted(_knag_components(adj, W), key=_least))
     total = fp.t_int + fp.t_end + len(W)
     rep.add("t_int + t_end + |W| = k", total == t.k, measured=total, needed=t.k)
     return rep

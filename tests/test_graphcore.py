@@ -3,13 +3,14 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle_graphcore import (LoopGraph, edge_built_adj, load_graph_lines,
                               scalar_added_layer, scalar_layer, scan_edges_between)
 from structhunt.graphcore import (GraphFormatError, LayeredGraph, _load_bulk,
-                                  dump_graph, load_graph)
+                                  _load_lines, dump_graph, load_graph)
 from structhunt.shadows import shadow
 from util import (brute_force_density, brute_force_e_ordered, complete_bipartite,
                   complete_graph, cycle_graph, graph_from_edges, path_graph,
@@ -163,6 +164,34 @@ class TestLoadGraph:
         text = "n 3\nlayer G\n" + body
         assert _load_bulk(text) is None
         assert _load_outcome(load_graph, text) == _load_outcome(load_graph_lines, text)
+
+    @pytest.mark.parametrize("text", [
+        "n 4\nlayer G\n3 0\n2 1\n1 3\n",
+        "n 4\nlayer G\n0 1\nlayer G_D\n3 2\n1 0\n",
+        "n 4\nlayer G\n0 1\n2 2\n", "n 4\nlayer G\n3 3\n0 1\n",
+        "n 4\nlayer G\n0 4\n", "n 4\nlayer G\n4 0\n", "n 4\nlayer G\n4 4\n",
+        "n 4\nlayer G\n3 0\n0 3\n", "n 4\nlayer G\n0 3\n3 0\n",
+        "n 4\nlayer G\n1 2\n1 2\n", "n 4\nlayer G\n2 1\n2 1\n",
+        "n 4\nlayer G\n1 0\nlayer G_D\n0 1\n",
+        "n 4\nlayer G\n", "n 0\n", "n 0\nlayer G\n", "n 0\nlayer G\n0 0\n",
+        "n 4\nlayer G\nlayer G_D\n0 1\n", "n 4\nlayer G\n1 2\nlayer G_D\n",
+        "n 4\nlayer G\nlayer G_D\nlayer G_exp\n",
+        "n 60\nlayer G\n" + "".join("%d %d\n" % ((u, v) if (u + v) % 2 else (v, u))
+                                       for u in range(60) for v in range(u + 1, 60, 7)),
+    ])
+    def test_bulk_codes_match_line_scan(self, text):
+        bulk = _load_bulk(text)
+        try:
+            n, layers = _load_lines(text)
+        except GraphFormatError as exc:
+            assert bulk is None
+            with pytest.raises(GraphFormatError) as ei:
+                load_graph(text)
+            assert (str(ei.value), ei.value.lineno) == (str(exc), exc.lineno)
+            return
+        assert bulk is not None and bulk[0] == n and bulk[1].keys() == layers.keys()
+        for name, codes in layers.items():
+            assert np.array_equal(bulk[1][name], codes), name
 
     @given(small_graphs(), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

@@ -3,14 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+import fixtures
 import pipeline_instances
 from oracle_lks import oracle_bundle_sets
+from structhunt import lks
+from structhunt.configurations import (PRECONFIG_TAGS, verify_configuration,
+                                       verify_preconfiguration)
 from structhunt.decomposition import (BoundedDecomposition, Params,
                                       SparseDecomposition, captured_subgraph)
 from structhunt.graphcore import LayeredGraph, norm_edge
-from structhunt.lks import (classify_vertices, check_common_setting,
-                            check_derived_bounds, compute_XABC,
-                            derive_common_sets)
+from structhunt.lks import (DERIVED, CommonSettingBundle, classify_vertices,
+                            check_common_setting, check_derived_bounds,
+                            compute_XABC, derive_common_sets)
 from structhunt.regularity import RegularizedMatching
 from structhunt.spots import DenseCover, DenseSpot
 from util import complete_graph, graph_from_edges, random_graph
@@ -296,3 +300,45 @@ class TestBundleProperties:
         assert b.cluster_size_or_k == b.p.k
         b, _ = t5_instance()
         assert b.cluster_size_or_k == b.sd.bd.cluster_size() != b.p.k
+
+
+class TestLazyBundle:
+    @pytest.mark.parametrize("name", PIPELINE_BUILDERS)
+    def test_sets_come_from_the_graph_derived_from(self, name):
+        b0, _ = getattr(pipeline_instances, name)()
+        args = (b0.g, b0.sd, b0.p, b0.MA, b0.MB)
+        expected = derive_common_sets(*args)
+        b = derive_common_sets(*args)
+        b.g = LayeredGraph(b0.g.n, {layer: [] for layer in b0.g.layers})
+        for set_name in DERIVED:  # first read after the swap
+            assert getattr(b, set_name) == getattr(expected, set_name), set_name
+        from_swapped = derive_common_sets(b.g, b.sd, b.p, b.MA, b.MB)
+        assert any(getattr(from_swapped, s) != getattr(expected, s) for s in DERIVED)
+        assert b.exp_support == frozenset()
+
+    @pytest.mark.parametrize("tag", sorted(fixtures.BUILDERS))
+    @pytest.mark.parametrize("spoil", [False, True])
+    def test_a_witness_check_computes_only_what_it_reads(self, tag, spoil,
+                                                          monkeypatch):
+        computed = []
+
+        def counted(name, formula):
+            def run(b, g, p):
+                computed.append(name)
+                return formula(b, g, p)
+            return run
+
+        monkeypatch.setattr(lks, "_FORMULAS", {
+            name: counted(name, formula) for name, formula in lks._FORMULAS.items()})
+        b, split, w, cp = fixtures.build(tag, spoil)
+        check = verify_preconfiguration if tag in PRECONFIG_TAGS else verify_configuration
+        check(w, b, split, cp)
+        sets = [name for name in computed if name in DERIVED]
+        assert len(sets) == len(set(sets)) < len(DERIVED), sets
+
+    def test_no_derived_set_has_a_class_default(self):
+        assert len(DERIVED) == 24
+        assert not [name for name in lks._FORMULAS if hasattr(CommonSettingBundle, name)]
+        b, _ = pipeline_instances.d1_instance()
+        with pytest.raises(AttributeError):
+            b.not_a_set

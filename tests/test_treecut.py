@@ -333,3 +333,16 @@ class TestValidatorCatchesBadInputs:
                            _knag_components(adj, W), 3, 4)
         rep = validate_fine_partition(fp)
         assert not rep["each shrub has 1 or 2 anchors"].passed
+
+    def test_knags_in_another_order_pass(self):
+        fp = fine_partition(path_tree(9), 3)
+        assert len(fp.knags) >= 2 and validate_fine_partition(fp).ok
+        reordered = dataclasses.replace(fp, knags=fp.knags[::-1])
+        assert reordered.knags != fp.knags
+        assert validate_fine_partition(reordered).ok
+
+    def test_an_empty_knag_fails(self):
+        fp = fine_partition(path_tree(9), 3)
+        with_empty = dataclasses.replace(fp, knags=fp.knags + [frozenset()])
+        rep = validate_fine_partition(with_empty)
+        assert not rep["knags are the components of T[W]"].passed

@@ -10,7 +10,13 @@ irregularity witness is always exact regardless of mode.
 All density comparisons are integer arithmetic: the test
 |e'/(a m) - e/(AB)| >= p/q is cleared of denominators before comparing.
 
-The exact check is one numpy kernel.  It scans U'-masks in increasing
+Within the cap an exact check first tries a degree certificate (Alon, Duke,
+Lefmann, Rodl and Yuster, 1994): the degrees bound e(U', W') for each
+(|U'|, |W'|), and when every bound lies inside the eps interval the pair is
+exact-regular with no subset enumerated.  That decides complete and empty
+pairs and pairs a few edges from them; the rest go to the scan.
+
+The scan is one numpy kernel.  It scans U'-masks in increasing
 integer order, 2**10 at a time (fewer when |U| < 10), and for each U'
 compares the sums of the m largest and the m smallest degrees into U'
 against per-(a, m) integer bounds; the first violating U' is then fixed and
@@ -133,7 +139,10 @@ def check_regular_pair(g: LayeredGraph, layer, U, W, eps, mode="exact",
 def _check_exact(M, u_list, w_list, e, ab, eps, d, a_min, m_min) -> RegPairCertificate:
     """Exhaustive check; the witness is the lex-first violating subset pair.
 
-    U'-masks over u_list are scanned in increasing order (``_first_hit``).
+    The bounds of ``_edge_bounds`` go first: when no (|U'|, |W'|) bound
+    violates, no subset pair does, and the pair is exact-regular unscanned.
+    Otherwise U'-masks over u_list are scanned in increasing order
+    (``_first_hit``).
     For a U' of size a the m largest and the m smallest degrees of w_list
     into U' are the extremal e(U', W') over all W' of size m, so U' admits a
     violating W' exactly when one of those prefix sums violates for some m.
@@ -143,6 +152,11 @@ def _check_exact(M, u_list, w_list, e, ab, eps, d, a_min, m_min) -> RegPairCerti
     """
     nu, nw = M.shape
     violates = _violation_test(e, ab, eps, a_min, m_min, nu, nw)
+    lo_u, hi_u = _edge_bounds(M.sum(axis=0), nu)
+    lo_w, hi_w = _edge_bounds(M.sum(axis=1), nw)
+    bounds = np.stack([np.maximum(lo_u, lo_w.T), np.minimum(hi_u, hi_w.T)])
+    if not violates(bounds, slice(None), slice(None)).any():
+        return RegPairCertificate("exact-regular", eps, d)
     ordered = extremal = None  # reused by every block (see _first_hit)
 
     def u_test(sums):  # per U': degrees of w_list into U', then |U'|
@@ -196,6 +210,21 @@ def _violation_test(e, ab, eps, a_min, m_min, nu, nw):
         return (x >= upper[a, m]) | (x <= lower[a, m])
 
     return violates
+
+
+def _edge_bounds(deg, n):
+    """(lo, hi) with lo[x, y] <= e(X', Y') <= hi[x, y] for every x-subset X'
+    of an n-set X and y-subset Y' of the vertices whose degrees into X are
+    ``deg``.  A vertex of degree t has max(0, t - (n - x)) to min(x, t)
+    neighbours in X'; lo sums the y smallest lower ends and hi the y largest
+    upper ends.  Both maps keep the order of t, so one sort serves every x.
+    """
+    t = np.sort(deg)
+    x = np.arange(n + 1)[:, None]
+    ends = np.zeros((2, n + 1, len(t) + 1), dtype=np.int64)
+    np.cumsum(np.maximum(t - (n - x), 0), axis=1, out=ends[0, :, 1:])
+    np.cumsum(np.minimum(t[::-1], x), axis=1, out=ends[1, :, 1:])
+    return ends
 
 
 def _first_hit(rows, test):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_regularity import (frozenset_adj_matrix, loop_regular_pair,
                                oracle_regular_pair, sampled_regular_pair)
+from structhunt import regularity
 from structhunt.regularity import (RegularizedGraph, RegularizedMatching, Sampled,
                                    _adj_matrix, _first_hit,
                                    check_m_cover, check_regular_pair,
@@ -121,6 +122,10 @@ def _outcome(call):
         return call()
     except ValueError as exc:
         return type(exc), str(exc)
+
+
+HUGE_EPS = [Fraction(10**18 + 3, 4 * 10**18 + 7), Fraction(3 * 10**18 - 1, 10 * 10**18 + 9),
+            Fraction(10**18 - 1, 10**18)]
 
 
 def planted(a, b, ka, kb, noise, seed):
@@ -240,10 +245,7 @@ class TestExactKernelBlocks:
                               rng.choice([0.05, 0.1, 0.3]), seed=trial)
             agrees_with_loop(g, A, B, Fraction(1, 4))
 
-    @pytest.mark.parametrize("eps", [
-        Fraction(10**18 + 3, 4 * 10**18 + 7),
-        Fraction(3 * 10**18 - 1, 10 * 10**18 + 9),
-        Fraction(10**18 - 1, 10**18)])
+    @pytest.mark.parametrize("eps", HUGE_EPS)
     def test_huge_eps_terms(self, eps):
         # max(p, q) * ab^2 exceeds 2**62 even for the 4x4 pair, so the
         # cleared test's terms do not fit int64; the kernel's bounds must
@@ -257,6 +259,102 @@ class TestExactKernelBlocks:
         verdicts = {agrees_with_loop(g, A, B, eps).verdict for g, A, B in cases}
         if eps < Fraction(1, 2):
             assert verdicts == {"exact-regular", "exact-irregular"}
+
+
+def scanned(monkeypatch, g, A, B, eps):
+    """(certificate, whether the subset scan ran): a pair the degree bound
+    proves regular is returned before ``_first_hit`` is called."""
+    calls = []
+    monkeypatch.setattr(regularity, "_first_hit",
+                        lambda *args: calls.append(1) or _first_hit(*args))
+    return check_regular_pair(g, "G", A, B, eps), bool(calls)
+
+
+def flipped(a, b, complete, flips, seed):
+    """A complete or empty a x b pair with ``flips`` random cross pairs
+    toggled (a pair drawn twice toggles back)."""
+    rng = random.Random(seed)
+    A, B = list(range(a)), list(range(a, a + b))
+    edges = {(u, w) for u in A for w in B} if complete else set()
+    for _ in range(flips):
+        edges ^= {(rng.choice(A), rng.choice(B))}
+    return graph_from_edges(a + b, sorted(edges)), frozenset(A), frozenset(B)
+
+
+class TestDegreeBound:
+    """Exact mode returns exact-regular without a subset scan when the degree
+    bounds of every (|U'|, |W'|) fit inside the eps interval."""
+
+    @staticmethod
+    def cases(rng, lo, hi, count):
+        for trial in range(count):
+            a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+            kind = trial % 3
+            if kind == 2:
+                g, A, B = bip(a, b, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]), trial)
+            else:
+                g, A, B = flipped(a, b, kind == 0, rng.randint(0, 3), trial)
+            eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4),
+                              Fraction(1, 5), Fraction(1, 8), g.density("G", A, B)]
+                             + HUGE_EPS)
+            if eps > 0:
+                yield g, A, B, eps
+
+    def test_against_oracle_to_side_10(self, monkeypatch):
+        rng, proved = random.Random(18), 0
+        for g, A, B, eps in self.cases(rng, 1, 10, 240):
+            cert, scan = scanned(monkeypatch, g, A, B, eps)
+            # the brute force clears denominators in int64, which the huge
+            # eps terms overflow; the loop form works in Python integers
+            oracle = loop_regular_pair if eps in HUGE_EPS else oracle_regular_pair
+            verdict, witness = oracle(g, "G", A, B, eps)
+            assert (cert.verdict, cert.witness) == ("exact-" + verdict, witness)
+            assert scan or verdict == "regular"
+            proved += not scan
+        assert proved >= 100
+
+    def test_against_loop_at_sides_11_to_14(self, monkeypatch):
+        rng, proved = random.Random(19), 0
+        for g, A, B, eps in self.cases(rng, 11, 14, 24):
+            cert, scan = scanned(monkeypatch, g, A, B, eps)
+            verdict, witness = loop_regular_pair(g, "G", A, B, eps)
+            assert (cert.verdict, cert.witness) == ("exact-" + verdict, witness)
+            assert scan or verdict == "regular"
+            proved += not scan
+        assert proved >= 12
+
+    @pytest.mark.parametrize("a,b,seed", [(12, 11, 1), (11, 14, 6), (14, 13, 27),
+                                          (14, 14, 75)])
+    def test_regular_pairs_the_bound_leaves_to_the_scan(self, monkeypatch, a, b, seed):
+        g, A, B = bip(a, b, 0.5, seed)
+        cert, scan = scanned(monkeypatch, g, A, B, Fraction(1, 2))
+        assert scan and cert.verdict == "exact-regular"
+        assert loop_regular_pair(g, "G", A, B, Fraction(1, 2)) == ("regular", None)
+
+    @pytest.mark.parametrize("a,b", [(8, 3), (3, 8)])
+    def test_either_side_may_decide(self, monkeypatch, a, b):
+        # a 3-edge matching between the sides: summing over the side of 3
+        # (every degree 1) proves the pair, summing over the side of 8 does
+        # not, so the pair and its transpose rest on different sides' bounds
+        edges = [(i, a + i) for i in range(3)]
+        g = graph_from_edges(a + b, edges)
+        cert, scan = scanned(monkeypatch, g, frozenset(range(a)),
+                             frozenset(range(a, a + b)), Fraction(1, 3))
+        assert not scan and cert.verdict == "exact-regular"
+
+    @pytest.mark.parametrize("edges", ["complete", "empty", "complete less one"])
+    def test_side_20_enumerates_no_mask(self, monkeypatch, edges):
+        A, B = frozenset(range(20)), frozenset(range(20, 40))
+        pairs = [(u, w) for u in A for w in B] if edges != "empty" else []
+        g = graph_from_edges(40, pairs[1:] if edges == "complete less one" else pairs)
+
+        def no_scan(*args):
+            raise AssertionError("subset masks enumerated")
+
+        monkeypatch.setattr(regularity, "_first_hit", no_scan)
+        cert = check_regular_pair(g, "G", A, B, Fraction(1, 4))
+        assert cert.verdict == "exact-regular" and cert.witness is None
+        assert cert.density == Fraction(len(g.edges("G")), 400)
 
 
 class TestSuperRegular:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .cleaning import (clean_c_plus_black, clean_c_plus_yellow, clean_match,
                        clean_yellow, envelope)
-from .configurations import (ConfigParams, verify_configuration,
+from .configurations import (ConfigParams, MissingField, verify_configuration,
                              verify_preconfiguration, PRECONFIG_TAGS)
 from .exactmath import MissingParameter, RootVal
 from .fileio import (InstanceFormatError, dump_split, dump_spot_line,
@@ -259,6 +259,8 @@ def cmd_verify_witness(args) -> int:
         print("witness file lacks required numeric parameters "
               "(add 'param <name> = <value>' lines)")
         return 3
+    except MissingField as exc:
+        raise InputError("%s: %s" % (args.witness, exc.args[0])) from None
     print(rep.render())
     return 0 if rep.ok else 3
 

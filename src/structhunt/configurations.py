@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .exactmath import ceil_val, cmp_ge, cmp_le, frac
-from .graphcore import (LayeredGraph, _bulk_codes, _code_graph, _distinct,
-                         _isin_sorted, _mask, _sized, _vertices_where)
+from .graphcore import (LayeredGraph, _edge_layer, _isin_sorted, _mask,
+                         _vertices_where)
 from .regularity import (RegularizedGraph, RegularizedMatching, Sampled,
                          check_m_cover, check_super_regular,
                          validate_regularized_graph,
@@ -30,6 +30,11 @@ PRECONFIG_TAGS = ("club", "heart1", "heart2", "exp", "reg")
 CONFIG_TAGS = tuple("D%d" % i for i in range(1, 11))
 TAG_ALIASES = {"◊%d" % i: "D%d" % i for i in range(1, 11)}
 TAG_ALIASES.update({"♣": "club", "♥1": "heart1", "♥2": "heart2"})
+
+
+def _is_edge_field(tag: str, name: str) -> bool:
+    """Does field name of a witness with this tag hold edges?"""
+    return name in ("F_edges", "Gt_edges") or (name == "F" and tag == "D1")
 
 
 @dataclass
@@ -61,6 +66,10 @@ class ConfigParams:
     eta_prime: object = None
 
 
+class MissingField(KeyError):
+    """A witness lacks a field its configuration requires."""
+
+
 @dataclass
 class ConfigurationWitness:
     tag: str
@@ -75,7 +84,7 @@ class ConfigurationWitness:
         try:
             return self.data[key]
         except KeyError:
-            raise KeyError("witness %s missing field %r" % (self.tag, key)) from None
+            raise MissingField("witness %s missing field %r" % (self.tag, key)) from None
 
     def get(self, key, default=None):
         return self.data.get(key, default)
@@ -256,17 +265,6 @@ def _reg_or_exp_part(rep, w, b, split, cp, mode, cap):
         rep.extend(sub, prefix="reg: ")
 
 
-def _witness_graph(n: int, edges) -> LayeredGraph:
-    """The graph on n vertices whose layer G is the edge collection edges
-    (repeats merge, either orientation); a self-loop or an id outside
-    0..n-1 raises the constructor's ValueError for it."""
-    edges = _sized(edges)
-    codes = _bulk_codes(edges, n)
-    if codes is None:
-        return LayeredGraph(n, {"G": frozenset(tuple(sorted(e)) for e in edges)})
-    return _code_graph(n, _distinct(codes))
-
-
 def _absorbed_by_pairs(N: RegularizedMatching, host_pairs) -> bool:
     """Every pair of N sits inside a host pair (either orientation)."""
     for X, Y in N.pairs:
@@ -288,7 +286,7 @@ def verify_configuration(w: ConfigurationWitness, b, split, cp: ConfigParams,
         A, B = frozenset(w["A"]), frozenset(w["B"])
         if A & B:
             raise ValueError("D1 sides overlap")
-        helper = _witness_graph(g.n, w["F"])
+        helper = LayeredGraph._validated(g.n, {"G": _edge_layer(w["F"], g.n)})
         H = helper._directed()
         rep.add("H non-empty", H.u.size > 0, measured=H.u.size)
         rep.add("H inside G", bool(_isin_sorted(helper._codes(), g._codes()).all()))
@@ -501,8 +499,7 @@ def verify_configuration(w: ConfigurationWitness, b, split, cp: ConfigParams,
         grep = validate_regularized_graph(rg, mode=mode, cap=cap, matching=m_obj)
         rep.add("(G~, V) regularized graph + matching consistent", grep.ok,
                 note="" if grep.ok else "; ".join(ci.render() for ci in grep.failures()))
-        helper_n = g.n
-        helper = LayeredGraph(helper_n, {"G": rg.edges})
+        helper = LayeredGraph._validated(g.n, {"G": _edge_layer(rg.edge_layer, g.n)})
         mrep = validate_regularized_matching(m_obj, helper, "G", mode=mode, cap=cap)
         rep.add("M is an (eps~, d', ell1)-regularized matching in G~", mrep.ok)
         ens = set(ensemble)

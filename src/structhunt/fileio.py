@@ -35,7 +35,9 @@ followed by the separator the form expects):
   - split.txt, when a "fractions" line is followed by "v c" lines naming
     each vertex once, with every class below the number of fractions;
   - witness edge lists (D1's F, F_edges, Gt_edges), loop-free and distinct,
-    with ids below n when n is given.
+    with ids below n when n is given, read straight into a layer of codes,
+    which fmt_edges writes.  Read by the scan, repeats merge, each edge is
+    kept as u < v, and without n every id must be below 2^63.
 Any other text (comments, blank lines, other whitespace, signs, underscores,
 non-ASCII digits, ids of 19 or more digits, empty entries, self-loops,
 repeats, ids out of range) is read by a scan one line or entry at a time,
@@ -51,10 +53,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .configurations import ConfigParams, ConfigurationWitness
+from .configurations import ConfigParams, ConfigurationWitness, _is_edge_field
 from .decomposition import BoundedDecomposition, Params, SparseDecomposition
-from .graphcore import (LayeredGraph, _digit_records, _encode, _has_repeats,
-                        _isin_sorted, fmt_vertex_set, load_graph)
+from .graphcore import (LayeredGraph, _digit_records, _edge_layer, _encode, _has_repeats,
+                        _isin_sorted, _Layer, fmt_edges, fmt_vertex_set, load_graph)
 from .regularity import RegularizedMatching
 from .splitting import Split
 from .spots import DenseCover, DenseSpot, _spot_codes
@@ -127,17 +129,19 @@ def _canonical_ids(text: str, seps: str, n=None, final=False):
 
 
 def _canonical_edges(text: str, n=None):
-    """(u, v) id arrays of a canonical edge list "a-b,c-d" whose edges are
-    loop-free and distinct and whose ids are below n; else None."""
+    """(u, v, edges) of a canonical edge list "a-b,c-d" whose edges are
+    loop-free and distinct and whose ids are below n: the id arrays of its
+    ends in list order, and its edges as a layer on n vertices (one more
+    than the largest id when n is None); else None."""
     uv = _canonical_ids(text, "-,", n)
     if uv is None:
         return None
     u, v = uv[:, 0], uv[:, 1]
     bound = n if n is not None else int(uv.max(initial=0)) + 1
-    if (u == v).any() or _has_repeats(
-            np.sort(_encode(np.minimum(u, v), np.maximum(u, v), bound))):
+    codes = np.sort(_encode(np.minimum(u, v), np.maximum(u, v), bound))
+    if (u == v).any() or _has_repeats(codes):
         return None
-    return u, v
+    return u, v, _Layer(bound, codes)
 
 
 def parse_params(text: str) -> Params:
@@ -187,7 +191,7 @@ def _bulk_spot(line: str, m, gamma, n=None):
     F = _canonical_edges(fields["F"], n)
     if U is None or W is None or F is None:
         return None
-    return DenseSpot._from_arrays(U.ravel().tolist(), W.ravel().tolist(), *F,
+    return DenseSpot._from_arrays(U.ravel().tolist(), W.ravel().tolist(), *F[:2],
                                   m, gamma)
 
 
@@ -413,17 +417,14 @@ def dump_split(split: Split) -> str:
 # -- witness files ------------------------------------------------------
 
 
-def _fmt_edges(edges) -> str:
-    return ",".join("%d-%d" % e for e in sorted(edges))
-
-
-def _parse_edges(text: str, n=None) -> list:
-    """The (u, v) pairs of a witness edge list, in order."""
+def _parse_edges(text: str, n=None) -> _Layer:
+    """The edges of a witness edge list "a-b,c-d", as a layer on n vertices
+    (one more than the largest id, which must be below 2^63, when n is
+    None); repeats merge."""
     found = _canonical_edges(text, n)
     if found is None:
-        return _scan_edges(text, "witness", n)
-    u, v = found
-    return list(zip(u.tolist(), v.tolist()))
+        return _edge_layer(_scan_edges(text, "witness", 2**63 if n is None else n), n)
+    return found[2]
 
 
 def _fmt_family(fam) -> str:
@@ -466,7 +467,6 @@ SET_FIELDS = {"V0", "V1", "V2", "V3", "V4", "A", "B", "H1", "H2", "L1", "L2",
               "E1"}
 FAMILY_FIELDS = {"F", "Lstar", "ensemble"}
 PAIR_FIELDS = {"pairs"}
-EDGE_FIELDS = {"F_edges", "Gt_edges"}
 MATCHING_FIELDS = {"N", "M"}
 STR_FIELDS = {"precfg"}
 INT_FIELDS = {"heart"}
@@ -511,7 +511,7 @@ def _witness_value(name: str, val: str, tag, n):
     """The value of witness field name (tag: the config so far)."""
     if name in SET_FIELDS:
         return frozenset(_ids(val.replace(",", " ").split()))
-    if (name == "F" and tag == "D1") or name in EDGE_FIELDS:
+    if _is_edge_field(tag, name):
         return _parse_edges(val, n)
     if name in FAMILY_FIELDS:
         return _parse_family(val)
@@ -564,12 +564,10 @@ def dump_witness(w: ConfigurationWitness, cp=None) -> str:
     lines = ["config %s" % w.tag]
     for name in sorted(w.data):
         val = w.data[name]
-        if name == "F" and w.tag == "D1":
-            lines.append("F = %s" % _fmt_edges(val))
+        if _is_edge_field(w.tag, name):
+            lines.append("%s = %s" % (name, fmt_edges(_edge_layer(val), "%d-%d")))
         elif name in SET_FIELDS:
             lines.append("%s = %s" % (name, fmt_vertex_set(val)))
-        elif name in EDGE_FIELDS:
-            lines.append("%s = %s" % (name, _fmt_edges(val)))
         elif name in FAMILY_FIELDS:
             lines.append("%s = %s" % (name, _fmt_family(val)))
         elif name in PAIR_FIELDS:

@@ -20,16 +20,17 @@ folds its named layers' codes left to right the same way, once per graph
 and spec string.  Everything else is built from the codes on first use and
 kept with them:
   - the directed form: both orientations of every edge sorted by (source,
-    target), as rows and cols, and the degree of each vertex, from one sort.
+    target), as rows and cols, and the degree of each vertex, from one sort
+    of the reversed edges' codes merged with the codes.
     deg(v), mindeg/maxdeg, e(X, Y), densities, _codes_between,
-    neighbourhoods, V(layer) and the per-vertex counts behind shadows are
-    each one pass of numpy operations over it and membership masks of the
-    vertex sets, O(n + |E|) whatever the sizes of the sets;
+    neighbourhoods, V(layer) and the counts behind shadows, peels and cuts
+    are each one pass of numpy operations over it and membership masks of
+    the vertex sets, O(n + |E|) whatever the sizes of the sets;
   - the frozenset of (u, v) tuples behind edges(), edges_between() and
-    layers: a public view, built in the package only for the edges of a
-    D1 or D10 witness;
-  - the tuple of neighbour frozensets behind adj() and deg(v, U): the view
-    the cleaning loops, peeling, maximal cuts and spot searches walk.
+    layers: a public view that no path of the package builds.  The edges of
+    a D1 or D10 witness are a layer too, written and read as codes;
+  - the tuple of neighbour frozensets behind adj() and deg(v, U): a public
+    view, read in the package only by the spot searches of spots.
 with_layer hands the new graph the parent's layers, and with them these
 forms, except for the layer it replaces.
 
@@ -110,8 +111,8 @@ def _encode(u, v, n):
 def _decode(codes, n):
     """(u, v) int64 arrays of an array of codes."""
     n = max(n, 1)
-    return ((codes // n).astype(np.int64, copy=False),
-            (codes % n).astype(np.int64, copy=False))
+    u = codes // n
+    return u.astype(np.int64, copy=False), (codes - u * n).astype(np.int64, copy=False)
 
 
 def _distinct(codes):
@@ -193,23 +194,36 @@ class _Directed:
 
     def __init__(self, codes, n: int):
         self.u, self.v = _decode(codes, n)
-        both = np.sort(_encode(np.concatenate([self.u, self.v]),
-                               np.concatenate([self.v, self.u]), n))
-        self.rows, self.cols = _decode(both, n)
-        self.degrees = np.bincount(self.rows, minlength=n)
+        # the reversed edges' codes, sorted, merged with the codes (a stable
+        # sort of two runs); each source repeats by its degree
+        back = np.sort(_encode(self.v, self.u, n))
+        both = np.sort(np.concatenate([codes, back]), kind="stable")
+        self.degrees = np.bincount(self.u, minlength=n) + np.bincount(self.v, minlength=n)
+        self.rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        starts = self.rows.astype(object) if n > _INT64_CODES else self.rows
+        self.cols = (both - starts * n).astype(np.int64, copy=False)
         self.degrees.setflags(write=False)  # shared by graphs and callers
         self.degree_list = self.degrees.tolist()
 
 
 class _Layer:
-    """One edge set as its codes, with the forms built from them on first
-    use; graphs that share the layer share the forms."""
+    """One edge set on the vertices 0..n-1 as its codes, with the forms built
+    from them on first use; graphs that share the layer share the forms.  It
+    iterates as (u, v) tuples, u < v, in code order, so a layer also holds
+    the edges of a D1 or D10 witness (_edge_layer, fmt_edges)."""
 
     __slots__ = ("n", "codes", "_edges", "_directed", "_adj")
 
     def __init__(self, n: int, codes):
         self.n, self.codes = n, codes
         self._edges = self._directed = self._adj = None
+
+    def __iter__(self):
+        u, v = _decode(self.codes, self.n)
+        return zip(u.tolist(), v.tolist())
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
     def edges(self) -> frozenset:
         if self._edges is None:
@@ -228,6 +242,27 @@ class _Layer:
             self._adj = tuple(frozenset(cols[a:b])
                               for a, b in zip([0] + ends, ends))
         return self._adj
+
+
+def _edge_layer(edges, n=None) -> _Layer:
+    """edges as a layer on n vertices, one more than the largest id when n
+    is None: a layer on n vertices as it is, any other collection of integer
+    pairs (either orientation, repeats merge) encoded once.  A self-loop or
+    an id outside 0..n-1 raises the constructor's ValueError for it."""
+    if isinstance(edges, _Layer) and n in (None, edges.n):
+        return edges
+    edges = _sized(edges)
+    n = 1 + max(map(max, edges), default=-1) if n is None else n
+    codes = _bulk_codes(edges, n)
+    if codes is None:  # the constructor raises the error for the first bad edge
+        codes = LayeredGraph(n, {"G": frozenset(tuple(sorted(e)) for e in edges)})._codes()
+    return _Layer(n, _distinct(codes))
+
+
+def fmt_edges(edges: _Layer, pattern: str) -> str:
+    """The edges formatted by pattern, such as "%d-%d", joined by commas."""
+    u, v = _decode(edges.codes, edges.n)
+    return ",".join([pattern] * len(edges)) % tuple(np.stack([u, v], 1).ravel().tolist())
 
 
 def _id_array(X) -> np.ndarray:

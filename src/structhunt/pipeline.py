@@ -26,10 +26,11 @@ import numpy as np
 
 from .cleaning import (clean_c_plus_black, clean_c_plus_yellow, clean_match,
                        clean_yellow, envelope)
-from .configurations import (ConfigParams, ConfigurationWitness, _large_nabla,
-                             verify_configuration)
+from .configurations import (ConfigParams, ConfigurationWitness, _is_edge_field,
+                             _large_nabla, verify_configuration)
 from .exactmath import ceil_val, frac, root4_val, sqrt_val
-from .graphcore import _code_graph, _union_codes, _vertices_where, fmt_vertex_set
+from .graphcore import (_code_graph, _edge_layer, _Layer, _union_codes, _vertices_where,
+                        fmt_edges, fmt_vertex_set)
 from .lks import CommonSettingBundle
 from .regularity import RegularizedMatching, Sampled, check_regular_pair
 from .report import Report
@@ -57,7 +58,9 @@ class HuntOutcome:
             lines.append("witness: %s" % self.witness.tag)
             for key in sorted(self.witness.data):
                 val = self.witness.data[key]
-                if isinstance(val, frozenset):
+                if _is_edge_field(self.witness.tag, key):
+                    lines.append("  %s = %s" % (key, fmt_edges(_edge_layer(val), "(%d, %d)")))
+                elif isinstance(val, frozenset):
                     lines.append("  %s = %s" % (key, fmt_vertex_set(val)))
                 elif isinstance(val, RegularizedMatching):
                     lines.append("  %s = matching with %d pairs" % (key, len(val)))
@@ -155,8 +158,8 @@ def obtain_config_huge(b: CommonSettingBundle, out: Optional[HuntOutcome] = None
         far = N_up - b.H  # H is independent in regime; enforce bipartiteness
         gw = g._with_codes("_huge_D1", g._codes_between("G_nabla", b.H, far))
         core = min_degree_subgraph(gw, "_huge_D1", b.H | far, Fraction(k, 2))
-        w = ConfigurationWitness("D1", {"A": core & b.H, "B": core & far,
-                                        "F": gw.edges_between("_huge_D1", core, core)})
+        F = _Layer(n, gw._codes_between("_huge_D1", core, core))
+        w = ConfigurationWitness("D1", {"A": core & b.H, "B": core & far, "F": F})
         return _finish(out, w, ConfigParams(), b, None)
 
     # Case B: envelope toward the club preconfiguration
@@ -826,7 +829,7 @@ def _t5_case(b: CommonSettingBundle, split: Split, M: RegularizedMatching,
             return out
 
     w = ConfigurationWitness("D10", {
-        "Gt_edges": gw.edges("_G_circ"), "ensemble": tuple(ensemble),
+        "Gt_edges": gw._layer("_G_circ"), "ensemble": tuple(ensemble),
         "M": b.MAB(), "Lstar": tuple(L_circ), "A": X_A, "B": X_B})
     cp = ConfigParams(eps_tilde=p.eps, d_prime=gamma**2 * p.d / 2,
                       ell1=p.pi * sqrt_val(p.eps_prime) * p.nu * k,

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .exactmath import ceil_val, floor_val, frac
-from .graphcore import LayeredGraph, _members
+from .graphcore import LayeredGraph, _decode, _edge_layer, _members
 from .report import Report
 from .rng import make_rng
 
@@ -450,26 +450,21 @@ def validate_regularized_matching(m: RegularizedMatching, g: LayeredGraph,
     return rep
 
 
-@dataclass
 class RegularizedGraph:
-    """Edge set over a vertex ensemble with empty insides and regular crossings."""
-
-    edges: frozenset
-    ensemble: tuple
-    eps: Fraction
-    d: Fraction
-    ell1: object
-    ell2: object
+    """Edge set over a vertex ensemble with empty insides and regular crossings,
+    kept as a layer of codes; edges is a public view as (u, v) tuples."""
 
     def __init__(self, edges, ensemble, eps, d, ell1, ell2):
-        from .graphcore import norm_edge
-
-        self.edges = frozenset(norm_edge(*e) for e in edges)
+        self.edge_layer = _edge_layer(edges)
         self.ensemble = tuple(frozenset(x) for x in ensemble)
         self.eps = frac(eps)
         self.d = frac(d)
         self.ell1 = ell1
         self.ell2 = ell2
+
+    @property
+    def edges(self) -> frozenset:
+        return self.edge_layer.edges()
 
     def universe(self) -> frozenset:
         return frozenset().union(*self.ensemble) if self.ensemble else frozenset()
@@ -478,33 +473,34 @@ class RegularizedGraph:
 def validate_regularized_graph(rg: RegularizedGraph, mode="exact",
                                cap: int = EXACT_CAP,
                                matching: Optional[RegularizedMatching] = None) -> Report:
-    """Check the regularized-graph clauses, plus matching consistency if given."""
+    """Check the regularized-graph clauses, plus matching consistency if given.
+    A stray edge or an edge inside a member named is the least one."""
     rep = Report("regularized graph")
     universe = rg.universe()
     total = sum(len(x) for x in rg.ensemble)
     if total != len(universe):
         raise ValueError("ensemble members overlap")
-    stray = [e for e in rg.edges if e[0] not in universe or e[1] not in universe]
-    if stray:
-        raise ValueError("edge %r leaves the ensemble universe" % (stray[0],))
-    rep.check_ge("ensemble sizes >= ell1",
-                 min((len(x) for x in rg.ensemble), default=0) if rg.ensemble else 0,
-                 rg.ell1)
-    locate = {}
+    layer = rg.edge_layer
+    u, v = _decode(layer.codes, layer.n)
+    member = np.full(layer.n, -1)  # the ensemble member of each vertex, -1 outside
     for idx, x in enumerate(rg.ensemble):
-        for v in x:
-            locate[v] = idx
-    inner = next((e for e in rg.edges if locate[e[0]] == locate[e[1]]), None)
-    rep.add("no edges inside a member", inner is None,
-            note="" if inner is None else "edge %r" % (inner,))
+        member[_members(x, layer.n)] = idx
+    stray = (member[u] < 0) | (member[v] < 0)
+    if stray.any():
+        at = stray.argmax()
+        raise ValueError("edge %r leaves the ensemble universe" % ((int(u[at]), int(v[at])),))
+    rep.check_ge("ensemble sizes >= ell1", min(map(len, rg.ensemble), default=0), rg.ell1)
+    inner = member[u] == member[v]
+    at = inner.argmax() if inner.any() else None
+    rep.add("no edges inside a member", at is None,
+            note="" if at is None else "edge %r" % ((int(u[at]), int(v[at])),))
 
-    n = max(universe) + 1 if universe else 0
-    helper = LayeredGraph(n, {"G": [e for e in rg.edges]}) if n else None
+    helper = LayeredGraph._validated(layer.n, {"G": layer})  # other ids have no edges
     bad_pair = None
     for i in range(len(rg.ensemble)):
         for j in range(i + 1, len(rg.ensemble)):
             X, Y = rg.ensemble[i], rg.ensemble[j]
-            cross = helper.e_ordered("G", X, Y) if helper else 0
+            cross = helper.e_ordered("G", X, Y)
             if cross == 0:
                 continue
             dens = Fraction(cross, len(X) * len(Y))
@@ -516,10 +512,7 @@ def validate_regularized_graph(rg: RegularizedGraph, mode="exact",
             break
     rep.add("cross pairs eps-regular, density 0 or >= d", bad_pair is None,
             note="" if bad_pair is None else "pair (%d,%d) density=%s %s" % bad_pair)
-    worst_nbhd = 0
-    if helper:
-        for x in rg.ensemble:
-            worst_nbhd = max(worst_nbhd, len(helper.neighbourhood("G", x)))
+    worst_nbhd = max((len(helper.neighbourhood("G", x)) for x in rg.ensemble), default=0)
     rep.check_le("|N(X)| <= ell2", worst_nbhd, rg.ell2)
     if matching is not None:
         ens = set(rg.ensemble)

@@ -3,16 +3,21 @@
 shadow(U, ell) is the set of vertices with strictly more than ell
 neighbours in U; iterating it is the look-ahead device used throughout the
 structure hunt.  The threshold comparison is strict (">"), which matters:
-off-by-one here silently changes every downstream set.
+off-by-one here silently changes every downstream set.  Shadows, peels
+and cuts read the layer's arrays, never its neighbour frozensets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+
+import numpy as np
 
 from .exactmath import floor_val, frac
-from .graphcore import LayeredGraph, _members, _vertices_where
+from .graphcore import LayeredGraph, _mask, _members, _vertices_where
 
 
 @dataclass(frozen=True)
@@ -54,36 +59,73 @@ def shadow_iter(g: LayeredGraph, q: ShadowQuery, exclude=frozenset()) -> frozens
     return current
 
 
+def _arcs(g: LayeredGraph, layer, X, Y=None):
+    """(inside, counts, heads): the layer restricted to X, or to the edges
+    between X and Y, with inside the mask of X | Y and the kept neighbours
+    of each vertex in turn, counts[v] of them for v, ascending in heads."""
+    d = g._directed(layer)
+    inside = _mask(X, g.n)
+    if Y is None:
+        keep = inside[d.rows] & inside[d.cols]
+    else:
+        inY = _mask(Y, g.n)
+        keep = (inside[d.rows] & inY[d.cols]) | (inY[d.rows] & inside[d.cols])
+        inside |= inY
+    return inside, np.bincount(d.rows[keep], minlength=g.n), d.cols[keep]
+
+
+def _peel(inside, counts, heads, d) -> frozenset:
+    """The vertices of inside left after deleting, while there is one, a
+    vertex with fewer than d kept neighbours left; each deleted vertex's
+    edges are walked once, so the peel is O(n + |E|)."""
+    need = math.ceil(frac(d))  # an integer count is below d iff below ceil(d)
+    low = np.flatnonzero(inside & (counts < need)).tolist()
+    if not low:
+        return _vertices_where(inside)
+    left, counts, heads = inside.tolist(), counts.tolist(), heads.tolist()
+    starts = list(accumulate(counts, initial=0))
+    for v in low:  # grows while walked; a vertex joins once, as it drops below d
+        left[v] = False
+        for u in heads[starts[v]:starts[v + 1]]:
+            if left[u]:
+                counts[u] -= 1
+                if counts[u] == need - 1:
+                    low.append(u)
+    return _vertices_where(left)
+
+
 def maximal_cut(g: LayeredGraph, layer, S):
-    """Local-search bipartition (A, B) of S.
+    """Local-search bipartition (A, B) of the vertex set S.
 
     Single-vertex moves, sweeping ascending ids until a full pass makes no
     move; a vertex moves when its same-side degree strictly exceeds its
     cross-side degree.  At the fixed point every v in A has
     deg(v, B) >= deg(v, A), and symmetrically.  This is a local optimum,
-    not a maximum cut, which is all the downstream arguments need.
+    not a maximum cut, which is all the downstream arguments need.  The
+    same-side degrees are counters updated as neighbours move.
     """
     S = frozenset(S)
     if not S:
         raise ValueError("maximal_cut of an empty set")
-    adj = g.adj(layer)
-    side = {v: 0 for v in sorted(S)}  # 0 = A, 1 = B
+    inside, counts, heads = _arcs(g, layer, S)
+    order = np.flatnonzero(inside).tolist()
+    degree, heads = counts.tolist(), heads.tolist()
+    starts = list(accumulate(degree, initial=0))
+    same = list(degree)  # every vertex starts in A with all its neighbours
+    side = [0] * g.n  # 0 = A, 1 = B
     moved = True
     while moved:
         moved = False
-        for v in sorted(S):
-            same = cross = 0
-            for u in adj[v] & S:
-                if side[u] == side[v]:
-                    same += 1
-                else:
-                    cross += 1
-            if same > cross:
-                side[v] = 1 - side[v]
+        for v in order:
+            if 2 * same[v] > degree[v]:
+                was = side[v]
+                side[v] = 1 - was
+                same[v] = degree[v] - same[v]
+                for u in heads[starts[v]:starts[v + 1]]:
+                    same[u] += -1 if side[u] == was else 1
                 moved = True
-    A = frozenset(v for v in S if side[v] == 0)
-    B = frozenset(v for v in S if side[v] == 1)
-    return A, B
+    inB = np.array(side, dtype=bool)
+    return _vertices_where(inside & ~inB), _vertices_where(inside & inB)
 
 
 def min_degree_subgraph(g: LayeredGraph, layer, S, d) -> frozenset:
@@ -92,46 +134,12 @@ def min_degree_subgraph(g: LayeredGraph, layer, S, d) -> frozenset:
     Obtained by repeatedly deleting vertices of induced degree < d; the
     result is unique (peeling is confluent), possibly empty.
     """
-    d = frac(d)
-    adj = g.adj(layer)
-    T = set(S)
-    degs = {v: len(adj[v] & T) for v in T}
-    queue = [v for v in T if degs[v] < d]
-    while queue:
-        v = queue.pop()
-        if v not in T:
-            continue
-        T.remove(v)
-        for u in adj[v]:
-            if u in T:
-                degs[u] -= 1
-                if degs[u] < d:
-                    queue.append(u)
-    return frozenset(T)
+    return _peel(*_arcs(g, layer, S), d)
 
 
 def peel_bipartite(g: LayeredGraph, layer, A, B, d):
-    """Peel (A, B) to cross-degrees >= d on both sides (order-independent)."""
-    d = frac(d)
-    adj = g.adj(layer)
-    A, B = set(A), set(B)
-    degA = {v: len(adj[v] & B) for v in A}
-    degB = {v: len(adj[v] & A) for v in B}
-    queue = [v for v in A if degA[v] < d] + [v for v in B if degB[v] < d]
-    while queue:
-        v = queue.pop()
-        if v in A:
-            A.remove(v)
-            for u in adj[v]:
-                if u in B:
-                    degB[u] -= 1
-                    if degB[u] < d:
-                        queue.append(u)
-        elif v in B:
-            B.remove(v)
-            for u in adj[v]:
-                if u in A:
-                    degA[u] -= 1
-                    if degA[u] < d:
-                        queue.append(u)
-    return frozenset(A), frozenset(B)
+    """Peel disjoint (A, B) to cross-degrees >= d on both sides
+    (order-independent)."""
+    A, B = frozenset(A), frozenset(B)
+    left = _peel(*_arcs(g, layer, A, B), d)
+    return A & left, B & left

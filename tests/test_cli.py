@@ -201,6 +201,17 @@ class TestInputErrors:
         self._one_line_error(capsys, ["verify-witness", str(d), str(witness)],
                              "structhunt: error: %s: %s" % (witness, error))
 
+    @pytest.mark.parametrize("lines, field", [
+        ("config D1\nF = 0-1", "witness D1 missing field 'A'"),
+        ("config D2", "witness D2 missing field 'L2'"),
+        ("config D10\nA = 0\nB = 1", "witness D10 missing field 'Gt_edges'")])
+    def test_witness_missing_field(self, tmp_path, capsys, lines, field):
+        d, _, _ = make_instance_dir(tmp_path)
+        witness = tmp_path / "witness.txt"
+        witness.write_text(lines + "\n")
+        self._one_line_error(capsys, ["verify-witness", str(d), str(witness)],
+                             "structhunt: error: %s: %s\n" % (witness, field))
+
     def test_matching_ids_checked_against_graph(self, tmp_path, capsys):
         d, b, _ = make_instance_dir(tmp_path)
         (d / "matching_a.txt").write_text("eps 1/2\n0 1 | 2 99999\n")

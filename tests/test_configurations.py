@@ -116,6 +116,24 @@ class TestD10Specifics:
         assert item.passed
 
 
+class TestWitnessFileEdges:
+    @pytest.mark.parametrize("tag", ["D1", "D10"])
+    @pytest.mark.parametrize("spoil", [False, True])
+    def test_read_back_verifies_alike(self, tag, spoil):
+        """A D1 or D10 witness read back from its file, with the graph's n
+        or without it (its edges then re-encoded for the graph), gets the
+        report the witness itself gets."""
+        from structhunt.fileio import dump_witness, parse_witness
+
+        b, split, w, cp = build(tag, spoil)
+        want = verify_configuration(w, b, split, cp).render()
+        text = dump_witness(w, cp)
+        for n in (b.g.n, None):
+            w2 = parse_witness(text, n)
+            assert verify_configuration(w2, b, split, w2.params).render() == want
+            assert dump_witness(w2, w2.params) == text
+
+
 def _report_or_error(check, w, b):
     try:
         return check(w, b).render()

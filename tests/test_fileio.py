@@ -17,7 +17,7 @@ from structhunt.fileio import (InstanceFormatError, _bulk_decomposition,
                                _parse_edges, _scan_decomposition, _scan_edges,
                                _scan_spot, _scan_split, parse_decomposition,
                                parse_spot_line, parse_split)
-from structhunt.graphcore import LayeredGraph
+from structhunt.graphcore import LayeredGraph, norm_edge
 
 N = 12  # vertices of the graph the decomposition texts refer to
 P = Params(k=4, gamma=Fraction(1, 3))
@@ -289,16 +289,24 @@ class TestSplitTexts:
         assert parse_split(text, ()).classes == (frozenset({int("9" * 19)}),)
 
 
+def _scanned_edge_set(text, n):
+    """The edges the line scan reads, normalised, merged and sorted: the
+    set _parse_edges must hold.  Without n, ids must be below 2^63."""
+    return sorted({norm_edge(*e) for e in _scan_edges(text, "witness",
+                                                       2**63 if n is None else n)})
+
+
 class TestWitnessEdges:
     @given(edge_lists(), st.sampled_from([None, 6, N]))
     @settings(max_examples=300, deadline=None)
     def test_bulk_matches_line_scan(self, text, n):
-        assert _outcome(_parse_edges, text, n) == \
-            _outcome(_scan_edges, text, "witness", n)
+        assert _outcome(lambda *a: list(_parse_edges(*a)), text, n) == \
+            _outcome(_scanned_edge_set, text, n)
 
     def test_canonical_lists_read_in_bulk(self):
         assert _canonical_edges("3-1,0-2", 4) is not None
-        assert _parse_edges("3-1,0-2", 4) == [(3, 1), (0, 2)]
+        edges = _parse_edges("3-1,0-2", 4)
+        assert (edges.n, list(edges)) == (4, [(0, 2), (1, 3)])
 
     @pytest.mark.parametrize("text, error", [
         ("1-x", "bad witness edge '1-x', want a-b"),

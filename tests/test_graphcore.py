@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracle_graphcore import (LoopGraph, edge_built_adj, load_graph_lines,
                               scalar_added_layer, scalar_layer, scan_edges_between)
+from structhunt import graphcore
 from structhunt.graphcore import (GraphFormatError, LayeredGraph, _load_bulk,
                                   _load_lines, dump_graph, load_graph)
 from structhunt.shadows import shadow
@@ -554,3 +555,30 @@ class TestAgainstLoopForms:
         assert g2.edges("G+G_x-G_D") == {(0, n - 1), (n - 2, n - 1), (3, n - 5)}
         assert g2.edges("G-G_x") == {(0, n - 1)}
         assert LayeredGraph(n, {"G": [(n - 1, 0)]}).edges("G") == {(0, n - 1)}
+
+
+class TestDirectedForm:
+    @pytest.mark.parametrize("object_codes", [False, True])
+    def test_matches_edge_built_adjacency(self, monkeypatch, object_codes):
+        """The directed form's arrays on seeded graphs (n = 0 and 1 among
+        them, some vertices isolated): the ends u < v in code order, both
+        orientations sorted by (source, target) and the degrees, as the
+        edge-built adjacency of oracle_graphcore gives them.  With the
+        int64 bound lowered, the same graphs take object codes."""
+        if object_codes:
+            monkeypatch.setattr(graphcore, "_INT64_CODES", 1)
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = (0, 1, 2, 5, 17, 40)[seed % 6]
+            spread = n - rng.randint(0, min(n, 4))  # the last vertices isolated
+            edges = [(u, v) for u in range(spread) for v in range(u + 1, spread)
+                     if rng.random() < 0.4]
+            codes = LayeredGraph(n, {"G": edges})._codes()
+            assert (codes.dtype == object) == (object_codes and n > 1)
+            d = graphcore._Directed(codes, n)
+            adj = edge_built_adj(n, edges)
+            assert list(zip(d.u.tolist(), d.v.tolist())) == sorted(edges)
+            assert d.rows.tolist() == [v for v in range(n) for _ in adj[v]]
+            assert d.cols.tolist() == [u for v in range(n) for u in sorted(adj[v])]
+            assert d.degrees.tolist() == d.degree_list == [len(a) for a in adj]
+            assert d.rows.dtype == d.cols.dtype == d.degrees.dtype == np.int64

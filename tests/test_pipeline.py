@@ -368,25 +368,31 @@ class TestFullConfigurationCoverage:
 
 
 class TestOneEdgeForm:
-    def test_hunt_builds_tuple_sets_only_for_witness_edges(self, monkeypatch):
-        """Over every builder's hunt, outcome dump and witness dump, no code
-        turns edge codes into (u, v) tuple sets and no spot builds its tuple
-        set F, except for the witness edge lists: D1's F and D10's
-        Gt_edges, one each."""
+    def test_hunt_path_builds_no_tuple_sets_or_adjacency(self, monkeypatch):
+        """Over every builder's hunt, outcome dump, witness dump, witness
+        parse and verification of the parsed witness, no code turns edge
+        codes into (u, v) tuple sets, builds a layer's neighbour frozensets
+        or builds a spot's tuple set F; the witness edges of D1 and D10
+        stay codes from the layer to the file and back."""
         import sys
 
         from make_golden import _hunts
         from structhunt import graphcore
-        from structhunt.fileio import dump_witness
+        from structhunt.fileio import dump_witness, parse_witness
         from structhunt.spots import DenseSpot
 
         built = []
         real_tuples = graphcore._edge_tuples
+        real_adj = graphcore._Layer.adj
         real_F = DenseSpot.F.fget
 
         def counting_tuples(codes, n):
             built.append("tuples")
             return real_tuples(codes, n)
+
+        def counting_adj(layer):
+            built.append("adj")
+            return real_adj(layer)
 
         def counting_F(spot):
             if spot._F is None:
@@ -397,14 +403,16 @@ class TestOneEdgeForm:
             if name.startswith("structhunt") and \
                     getattr(mod, "_edge_tuples", None) is real_tuples:
                 monkeypatch.setattr(mod, "_edge_tuples", counting_tuples)
+        monkeypatch.setattr(graphcore._Layer, "adj", counting_adj)
         monkeypatch.setattr(DenseSpot, "F", property(counting_F))
         tags = []
         for name, b, split, seed in _hunts():
             out = hunt_configuration(b, split, seed=seed)
             out.dump()
             if out.witness is not None:
-                dump_witness(out.witness, out.config_params)
+                w = parse_witness(dump_witness(out.witness, out.config_params), b.g.n)
+                rep = verify_configuration(w, b, split, w.params)
+                assert rep.render() == out.verification.render(), name
                 tags.append(out.witness.tag)
-            payloads = sum(tag in ("D1", "D10") for tag in tags)
-            assert built == ["tuples"] * payloads, name
+            assert built == [], name
         assert {"D1", "D10"} <= set(tags)

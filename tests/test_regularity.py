@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -512,6 +513,15 @@ class TestRegularizedGraph:
         rg = RegularizedGraph(edges, ens, Fraction(1, 2), Fraction(1, 2), 3, 0)
         rep = validate_regularized_graph(rg)
         assert not rep["|N(X)| <= ell2"].passed
+
+    @pytest.mark.parametrize("extra, first, stray", [
+        ([(0, 20)], 0, "(0, 20)"),  # the larger end outside the universe
+        ([], 1, "(0, 3)")])  # the smaller end outside: the first member left out
+    def test_edge_leaving_universe_rejected(self, extra, first, stray):
+        edges, ens = self._blobs()
+        rg = RegularizedGraph(edges + extra, ens[first:], Fraction(1, 2), Fraction(1, 2), 3, 3)
+        with pytest.raises(ValueError, match=re.escape("edge %s leaves the ensemble" % stray)):
+            validate_regularized_graph(rg)
 
     def test_overlapping_ensemble_rejected(self):
         rg = RegularizedGraph([], [frozenset({0, 1}), frozenset({1, 2})],

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from structhunt.exactmath import RootVal, frac
 from structhunt.shadows import (ShadowQuery, maximal_cut, min_degree_subgraph,
                                 peel_bipartite, shadow, shadow_iter)
+import oracle_shadows
 from util import (complete_bipartite, complete_graph, graph_from_edges,
                   path_graph, random_graph)
 
@@ -206,3 +208,80 @@ class TestPeelBipartite:
         g = graph_from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
         A, B = peel_bipartite(g, "G", {0, 1}, {2, 3, 4}, 2)
         assert A == frozenset({0, 1}) and B == frozenset({2, 3})
+
+
+# thresholds of the peels: integers, Fractions between them, and d <= 0
+PEEL_THRESHOLDS = [0, 1, 2, 3, Fraction(3, 2), Fraction(1, 3), Fraction(7, 2),
+                   -1, Fraction(-1, 2)]
+
+
+def _seeded_case(seed, n):
+    """A random graph on n vertices whose last few are isolated, with a
+    random vertex set S (empty on some seeds) split into disjoint A and B."""
+    rng = random.Random(seed)
+    g = random_graph(n, rng.choice([0.15, 0.4, 0.7]), seed)
+    isolated = rng.randint(0, 3)
+    g = g.with_layer("G", [e for e in g.edges("G") if e[1] < n - isolated])
+    S = frozenset() if seed % 7 == 0 else \
+        frozenset(v for v in range(n) if rng.random() < 0.7)
+    A = frozenset(v for v in S if rng.random() < 0.5)
+    return g, S, A, S - A
+
+
+class TestAgainstFrozensetOracle:
+    """The array peels and cut give the outputs of the frozenset forms
+    (tests/oracle_shadows.py) on the same graphs and sets."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 24), st.sampled_from(PEEL_THRESHOLDS))
+    @settings(max_examples=150, deadline=None)
+    def test_min_degree_subgraph(self, seed, n, d):
+        g, S, _, _ = _seeded_case(seed, n)
+        assert min_degree_subgraph(g, "G", S, d) == \
+            oracle_shadows.min_degree_subgraph(g, "G", S, d)
+
+    @given(st.integers(0, 10**6), st.integers(1, 24), st.sampled_from(PEEL_THRESHOLDS))
+    @settings(max_examples=150, deadline=None)
+    def test_peel_bipartite(self, seed, n, d):
+        g, _, A, B = _seeded_case(seed, n)
+        assert peel_bipartite(g, "G", A, B, d) == \
+            oracle_shadows.peel_bipartite(g, "G", A, B, d)
+
+    @given(st.integers(0, 10**6), st.integers(1, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_maximal_cut(self, seed, n):
+        g, S, _, _ = _seeded_case(seed, n)
+        if not S:
+            for cut in (maximal_cut, oracle_shadows.maximal_cut):
+                with pytest.raises(ValueError):
+                    cut(g, "G", S)
+            return
+        assert maximal_cut(g, "G", S) == oracle_shadows.maximal_cut(g, "G", S)
+
+    def test_composite_layer_spec(self):
+        g = random_graph(16, 0.5, 5)
+        g = g.with_layer("E", [e for e in g.edges("G") if sum(e) % 3])
+        S = frozenset(range(2, 15))
+        A, B = frozenset(range(2, 9)), frozenset(range(9, 15))
+        assert maximal_cut(g, "G-E", S) == oracle_shadows.maximal_cut(g, "G-E", S)
+        assert min_degree_subgraph(g, "G-E", S, 2) == \
+            oracle_shadows.min_degree_subgraph(g, "G-E", S, 2)
+        assert peel_bipartite(g, "G-E", A, B, 1) == \
+            oracle_shadows.peel_bipartite(g, "G-E", A, B, 1)
+
+    def test_long_path_is_linear(self):
+        """A 2,000-vertex path peels one vertex from each end per round:
+        1,000 rounds.  A peel that recounts every degree each round is
+        quadratic here; the counter-based one finishes well under a
+        second for all three calls."""
+        g = path_graph(2000)
+        V = g.vertices()
+        evens = frozenset(range(0, 2000, 2))
+        start = time.perf_counter()
+        core = min_degree_subgraph(g, "G", V, 2)
+        peeled = peel_bipartite(g, "G", evens, V - evens, 2)
+        cut = maximal_cut(g, "G", V)
+        assert time.perf_counter() - start < 0.5
+        assert core == oracle_shadows.min_degree_subgraph(g, "G", V, 2) == frozenset()
+        assert peeled == oracle_shadows.peel_bipartite(g, "G", evens, V - evens, 2) == \
+            (frozenset(), frozenset())
+        assert cut == oracle_shadows.maximal_cut(g, "G", V)

@@ -55,8 +55,8 @@ import numpy as np
 
 from .configurations import ConfigParams, ConfigurationWitness, _is_edge_field
 from .decomposition import BoundedDecomposition, Params, SparseDecomposition
-from .graphcore import (LayeredGraph, _digit_records, _edge_layer, _encode, _has_repeats,
-                        _isin_sorted, _Layer, fmt_edges, fmt_vertex_set, load_graph)
+from .graphcore import (LayeredGraph, _ascending, _digit_records, _edge_layer, _encode,
+                        _has_repeats, _isin_sorted, _Layer, fmt_edges, fmt_vertex_set, load_graph)
 from .regularity import RegularizedMatching
 from .splitting import Split
 from .spots import DenseCover, DenseSpot, _spot_codes
@@ -138,8 +138,8 @@ def _canonical_edges(text: str, n=None):
         return None
     u, v = uv[:, 0], uv[:, 1]
     bound = n if n is not None else int(uv.max(initial=0)) + 1
-    codes = np.sort(_encode(np.minimum(u, v), np.maximum(u, v), bound))
-    if (u == v).any() or _has_repeats(codes):
+    codes = _ascending(_encode(np.minimum(u, v), np.maximum(u, v), bound))
+    if (u == v).any() or codes is None:
         return None
     return u, v, _Layer(bound, codes)
 

@@ -19,13 +19,14 @@ operations (_union_codes, np.setdiff1d, _isin_sorted).  A composite spec
 folds its named layers' codes left to right the same way, once per graph
 and spec string.  Everything else is built from the codes on first use and
 kept with them:
-  - the directed form: both orientations of every edge sorted by (source,
-    target), as rows and cols, and the degree of each vertex, from one sort
-    of the reversed edges' codes merged with the codes.
-    deg(v), mindeg/maxdeg, e(X, Y), densities, _codes_between,
-    neighbourhoods, V(layer) and the counts behind shadows, peels and cuts
-    are each one pass of numpy operations over it and membership masks of
-    the vertex sets, O(n + |E|) whatever the sizes of the sets;
+  - the directed form: the ends u < v of every edge and each vertex's
+    degree, by one decode and two bincounts.  deg(v), mindeg/maxdeg, e(X,
+    Y), densities, _codes_between, neighbourhoods, V(layer) and the counts
+    behind shadows, peels and cuts read each edge in both orientations from
+    u and v: one pass of numpy operations and membership masks of the vertex
+    sets, O(n + |E|) whatever their sizes.  Both orientations sorted by
+    (source, target), as rows and cols, are built on first read, which only
+    adj() and verify_split make;
   - the frozenset of (u, v) tuples behind edges(), edges_between() and
     layers: a public view that no path of the package builds.  The edges of
     a D1 or D10 witness are a layer too, written and read as codes;
@@ -43,7 +44,8 @@ TypeError.  Callers in the package that build a layer from layers or spots
 of the same graph pass codes (_with_codes, or _code_graph for a graph of
 one layer), so those edges are neither re-checked nor turned into tuples.
 load_graph parses each block of the canonical form that dump_graph writes in
-bulk, and checks ranges, self-loops and duplicates over the whole block.
+bulk, and checks ranges, self-loops and duplicates over the whole block (a
+dumped block is in code order, so it needs no sort).
 Any other text (comments, blank lines, other whitespace, signed ids), and
 any text the bulk checks reject, goes through the line scan, which accepts
 the same files and names the first offending line.  The byte checks
@@ -186,24 +188,37 @@ def _constructor_codes(n: int, name, edges):
 
 
 class _Directed:
-    """A layer's edges as arrays: its own ends u < v in code order, both
-    orientations sorted by (source, target) as rows and cols, and each
-    vertex's degree, as an array and as a list."""
+    """A layer's edges as arrays: its own ends u < v in code order, each
+    vertex's degree, as an array and as a list, and, built on first read,
+    both orientations sorted by (source, target) as rows and cols."""
 
-    __slots__ = ("u", "v", "rows", "cols", "degrees", "degree_list")
+    __slots__ = ("n", "codes", "u", "v", "degrees", "degree_list", "_arcs")
 
     def __init__(self, codes, n: int):
+        self.n, self.codes, self._arcs = n, codes, None
         self.u, self.v = _decode(codes, n)
-        # the reversed edges' codes, sorted, merged with the codes (a stable
-        # sort of two runs); each source repeats by its degree
-        back = np.sort(_encode(self.v, self.u, n))
-        both = np.sort(np.concatenate([codes, back]), kind="stable")
         self.degrees = np.bincount(self.u, minlength=n) + np.bincount(self.v, minlength=n)
-        self.rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        starts = self.rows.astype(object) if n > _INT64_CODES else self.rows
-        self.cols = (both - starts * n).astype(np.int64, copy=False)
         self.degrees.setflags(write=False)  # shared by graphs and callers
         self.degree_list = self.degrees.tolist()
+
+    @property
+    def rows(self):
+        return _sorted_arcs(self)[0]
+
+    @property
+    def cols(self):
+        return _sorted_arcs(self)[1]
+
+
+def _sorted_arcs(d: _Directed):
+    """(rows, cols) of d, kept: a stable merge of the codes and the sorted reversed codes."""
+    if d._arcs is None:
+        n = d.n
+        both = np.sort(np.concatenate([d.codes, np.sort(_encode(d.v, d.u, n))]), kind="stable")
+        rows = np.repeat(np.arange(n, dtype=np.int64), d.degrees)
+        starts = rows.astype(object) if n > _INT64_CODES else rows
+        d._arcs = rows, (both - starts * n).astype(np.int64, copy=False)
+    return d._arcs
 
 
 class _Layer:
@@ -259,10 +274,10 @@ def _edge_layer(edges, n=None) -> _Layer:
     return _Layer(n, _distinct(codes))
 
 
-def fmt_edges(edges: _Layer, pattern: str) -> str:
-    """The edges formatted by pattern, such as "%d-%d", joined by commas."""
+def fmt_edges(edges: _Layer, pattern: str, sep: str = ",") -> str:
+    """The edges formatted by pattern, such as "%d-%d", joined by sep."""
     u, v = _decode(edges.codes, edges.n)
-    return ",".join([pattern] * len(edges)) % tuple(np.stack([u, v], 1).ravel().tolist())
+    return sep.join([pattern] * len(edges)) % tuple(np.stack([u, v], 1).ravel().tolist())
 
 
 def _id_array(X) -> np.ndarray:
@@ -413,7 +428,8 @@ class LayeredGraph:
         d = self._directed(layer)
         if U is None:
             return d.degrees
-        return np.bincount(d.rows[_mask(U, self.n)[d.cols]], minlength=self.n)
+        inU = _mask(U, self.n)
+        return np.bincount(np.concatenate([d.u[inU[d.v]], d.v[inU[d.u]]]), minlength=self.n)
 
     def _degrees_of(self, layer, X, Y):
         """deg(v, Y) for the members v of X, in its order; an id out of
@@ -453,8 +469,8 @@ class LayeredGraph:
         """e(X, Y): ordered pairs (x, y), xy an edge; X and Y may overlap."""
         Xs, Ys = frozenset(X), frozenset(Y)
         d = self._directed(layer)
-        return int(np.count_nonzero(_mask(Xs, self.n)[d.rows]
-                                    & _mask(Ys, self.n)[d.cols]))
+        mX, mY = _mask(Xs, self.n), _mask(Ys, self.n)
+        return int(np.count_nonzero(mX[d.u] & mY[d.v]) + np.count_nonzero(mY[d.u] & mX[d.v]))
 
     def _codes_between(self, layer, X, Y):
         """Sorted codes of the edges xy with x in X and y in Y."""
@@ -484,8 +500,8 @@ class LayeredGraph:
     def neighbourhood(self, layer, X) -> frozenset:
         """N(X): union of neighbourhoods of vertices of X."""
         d = self._directed(layer)
-        inside = np.zeros(self.n, dtype=bool)
-        inside[d.cols[_mask(X, self.n)[d.rows]]] = True
+        inX, inside = _mask(X, self.n), np.zeros(self.n, dtype=bool)
+        inside[d.v[inX[d.u]]] = inside[d.u[inX[d.v]]] = True
         return _vertices_where(inside)
 
     def __repr__(self):
@@ -560,11 +576,16 @@ def _edge_block(body: str, n: int):
     lo, hi = np.minimum(uv[:, 0], uv[:, 1]), np.maximum(uv[:, 0], uv[:, 1])
     if (lo == hi).any() or hi.max() >= n:
         return None
-    codes = np.sort(_encode(lo, hi, n))
+    return _ascending(_encode(lo, hi, n))
+
+
+def _ascending(codes):
+    """The codes sorted, or None when one repeats; codes already strictly
+    ascending are proved sorted and distinct by one pass, without a sort."""
+    if (codes[1:] > codes[:-1]).all():
+        return codes
+    codes = np.sort(codes)
     return None if _has_repeats(codes) else codes
-
-
-_SEPARATORS_TO_SPACE = bytes(b if 48 <= b <= 57 else 32 for b in range(256))
 
 
 def _digit_records(text: str, seps: str, final: bool = True):
@@ -575,15 +596,15 @@ def _digit_records(text: str, seps: str, final: bool = True):
     run ends the text when final is false; empty text is k = 0.  Every
     other text, such as signs, underscores, non-ASCII digits, spaces,
     empty runs or more than 18 digits (which could overflow int64), gives
-    None.  One pass of numpy checks over the bytes, linear in the text.
+    None.  One pass of numpy checks over the bytes, then one gather per
+    digit position (int32 while no run passes 9 digits), linear in the text.
     """
     width = len(seps)
     if not text:
         return np.zeros((0, width), dtype=np.int64)
     if not text.isascii():
         return None
-    raw = text.encode("ascii")
-    b = np.frombuffer(raw, dtype=np.uint8)
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero((b < 48) | (b > 57))  # every non-digit ends a run
     count = ends.size + (not final)
     if count % width or (final and (ends.size == 0 or ends[-1] != b.size - 1)):
@@ -591,11 +612,18 @@ def _digit_records(text: str, seps: str, final: bool = True):
     pattern = np.frombuffer(seps.encode("ascii") * (count // width), dtype=np.uint8)
     if not np.array_equal(b[ends], pattern[:ends.size]):
         return None
-    runs = np.diff(ends if final else np.append(ends, b.size), prepend=-1) - 1
-    if runs.min() < 1 or runs.max() > 18:
+    last = (ends if final else np.append(ends, b.size)) - 1  # each run's last digit
+    runs = np.empty_like(last)  # each run's length plus one
+    runs[0] = last[0] + 2
+    np.subtract(last[1:], last[:-1], out=runs[1:])
+    longest = int(runs.max()) - 1
+    if runs.min() < 2 or longest > 18:
         return None
-    ids = np.fromstring(raw.translate(_SEPARATORS_TO_SPACE), dtype=np.int64, sep=" ")
-    return ids.reshape(-1, width)
+    digits = b - 48  # read before a run (or, wrapped, the text) only under a zero mask
+    ids = digits[last].astype(np.int32 if longest <= 9 else np.int64)
+    for j in range(1, longest):  # the digit j places before each run's last
+        ids += digits[last - j] * (runs > j + 1) * ids.dtype.type(10 ** j)
+    return ids.astype(np.int64, copy=False).reshape(-1, width)
 
 
 def _has_repeats(sorted_array) -> bool:
@@ -670,22 +698,21 @@ def dump_graph(g: LayeredGraph) -> str:
         names.insert(0, "G")
     for name in names:
         lines.append("layer %s" % name)
-        u, v = _decode(g._codes(name), g.n)
-        lines.extend(map("%d %d".__mod__, zip(u.tolist(), v.tolist())))
+        if len(g._layers[name]):
+            lines.append(fmt_edges(g._layers[name], "%d %d", "\n"))
     return "\n".join(lines) + "\n"
 
 
 def parse_vertex_set(text: str, n: int) -> frozenset:
-    """Parse "1,4,7" or "1 4 7" (empty string -> empty set)."""
+    """Parse "1,4,7" or "1 4 7" (empty string -> empty set); ids are -?[0-9]+."""
     text = text.strip()
     if not text:
         return frozenset()
     ids = []
     for t in text.replace(",", " ").split():
-        try:
-            ids.append(int(t))
-        except ValueError:
-            raise ValueError("bad integer %r" % t) from None
+        if not re.fullmatch(r"-?[0-9]+", t):
+            raise ValueError("bad integer %r" % t)
+        ids.append(int(t))
     for i in ids:
         if not 0 <= i < n:
             raise ValueError("vertex id %d out of range" % i)

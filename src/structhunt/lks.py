@@ -38,7 +38,7 @@ def classify_vertices(g: LayeredGraph, k, eta) -> LKSClassification:
     """Split V by the (1 + eta) k degree threshold and test class membership."""
     k, eta = frac(k), frac(eta)
     form = g._directed("G")
-    deg, src, dst = form.degrees, form.rows, form.cols
+    deg, u, v = form.degrees, form.u, form.v
     ceil_2eta = math.ceil((1 + 2 * eta) * k)
     ceil_eta = math.ceil((1 + eta) * k)
     in_L = deg >= ceil_eta  # deg >= (1 + eta) k
@@ -48,9 +48,9 @@ def classify_vertices(g: LayeredGraph, k, eta) -> LKSClassification:
 
     rep = Report("small-class clauses")
     high = deg > ceil_2eta
-    ok1 = not (high[src] & high[dst]).any()
+    ok1 = not (high[u] & high[v]).any()
     rep.add("1. neighbours of deg > ceil((1+2eta)k) have deg <= that", ok1)
-    ok2 = not (~in_L[src] & (deg[dst] != ceil_eta)).any()
+    ok2 = not ((~in_L[u] & (deg[v] != ceil_eta)) | (~in_L[v] & (deg[u] != ceil_eta))).any()
     rep.add("2. neighbours of S-vertices have degree exactly ceil((1+eta)k)", ok2)
     e_total = len(g._codes("G"))
     rep.check_le("3. e(G) <= k n", e_total, k * g.n)

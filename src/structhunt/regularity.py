@@ -82,7 +82,8 @@ def _adj_matrix(g: LayeredGraph, layer, U, W):
     edges."""
     u_list, w_list = sorted(U), sorted(W)
     d = g._directed(layer)
-    row, col = _positions(u_list, g.n)[d.rows], _positions(w_list, g.n)[d.cols]
+    pu, pw = _positions(u_list, g.n), _positions(w_list, g.n)
+    row, col = np.concatenate([pu[d.u], pu[d.v]]), np.concatenate([pw[d.v], pw[d.u]])
     hit = (row >= 0) & (col >= 0)
     M = np.zeros((len(u_list), len(w_list)), dtype=np.int64)
     M[row[hit], col[hit]] = 1

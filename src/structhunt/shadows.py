@@ -62,16 +62,18 @@ def shadow_iter(g: LayeredGraph, q: ShadowQuery, exclude=frozenset()) -> frozens
 def _arcs(g: LayeredGraph, layer, X, Y=None):
     """(inside, counts, heads): the layer restricted to X, or to the edges
     between X and Y, with inside the mask of X | Y and the kept neighbours
-    of each vertex in turn, counts[v] of them for v, ascending in heads."""
+    of each vertex in turn, counts[v] of them for v, in heads (in an order
+    that neither the confluent peel nor the cut's commuting updates see)."""
     d = g._directed(layer)
     inside = _mask(X, g.n)
     if Y is None:
-        keep = inside[d.rows] & inside[d.cols]
+        keep = inside[d.u] & inside[d.v]
     else:
         inY = _mask(Y, g.n)
-        keep = (inside[d.rows] & inY[d.cols]) | (inY[d.rows] & inside[d.cols])
+        keep = (inside[d.u] & inY[d.v]) | (inY[d.u] & inside[d.v])
         inside |= inY
-    return inside, np.bincount(d.rows[keep], minlength=g.n), d.cols[keep]
+    src, dst = np.concatenate([d.u[keep], d.v[keep]]), np.concatenate([d.v[keep], d.u[keep]])
+    return inside, np.bincount(src, minlength=g.n), dst[np.argsort(src, kind="stable")]
 
 
 def _peel(inside, counts, heads, d) -> frozenset:

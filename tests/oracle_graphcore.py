@@ -8,11 +8,16 @@ layers.  ``scan_edges_between`` finds the edges between two sets by one pass
 over every edge of the layer.  ``LoopGraph`` keeps each layer as a frozenset
 of (u, v) tuples and answers every query by a loop over frozenset
 adjacency, the reference for the queries read off edge-code arrays.
+``digit_records_fromstring`` reads the ids of a canonical record text with
+one ``numpy.fromstring`` over the text, every separator turned into a space,
+the reference for the digit-by-digit reader _digit_records.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from structhunt.exactmath import floor_val
 from structhunt.graphcore import GraphFormatError, LayeredGraph, norm_edge
@@ -67,6 +72,34 @@ def load_graph_lines(text: str) -> LayeredGraph:
     if "G" not in layers:
         layers["G"] = set()
     return LayeredGraph(n, layers)
+
+
+_SEPARATORS_TO_SPACE = bytes(b if 48 <= b <= 57 else 32 for b in range(256))
+
+
+def digit_records_fromstring(text: str, seps: str, final: bool = True):
+    """The ids of text as a (k, len(seps)) int64 array, or None, under the
+    rules of graphcore._digit_records: the same byte checks, then one parse
+    of the whole text with every separator turned into a space."""
+    width = len(seps)
+    if not text:
+        return np.zeros((0, width), dtype=np.int64)
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero((b < 48) | (b > 57))
+    count = ends.size + (not final)
+    if count % width or (final and (ends.size == 0 or ends[-1] != b.size - 1)):
+        return None
+    pattern = np.frombuffer(seps.encode("ascii") * (count // width), dtype=np.uint8)
+    if not np.array_equal(b[ends], pattern[:ends.size]):
+        return None
+    runs = np.diff(ends if final else np.append(ends, b.size), prepend=-1) - 1
+    if runs.min() < 1 or runs.max() > 18:
+        return None
+    ids = np.fromstring(raw.translate(_SEPARATORS_TO_SPACE), dtype=np.int64, sep=" ")
+    return ids.reshape(-1, width)
 
 
 def edge_built_adj(n: int, edges) -> tuple:

@@ -123,7 +123,9 @@ class TestInputErrors:
         (["check-regular", "-U", "0", "-W", "-4", "--eps", "1/4"],
          "-W: vertex id -4 out of range"),
         (["check-regular", "-U", "0", "-W", "4", "--eps", "1/0"],
-         "--eps: zero denominator in '1/0'")])
+         "--eps: zero denominator in '1/0'"),
+        (["shadow", "--set", "1_0", "--ell", "1"], "--set: bad integer '1_0'"),
+        (["shadow", "--set", "0,+2", "--ell", "1"], "--set: bad integer '+2'")])
     def test_bad_vertex_set_or_fraction(self, tmp_path, capsys, argv, error):
         path = write_graph(tmp_path, K44)
         self._one_line_error(capsys, argv[:1] + ["--graph", path] + argv[1:],

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle_graphcore import (LoopGraph, edge_built_adj, load_graph_lines,
-                              scalar_added_layer, scalar_layer, scan_edges_between)
+from oracle_graphcore import (LoopGraph, digit_records_fromstring, edge_built_adj,
+                              load_graph_lines, scalar_added_layer, scalar_layer,
+                              scan_edges_between)
 from structhunt import graphcore
-from structhunt.graphcore import (GraphFormatError, LayeredGraph, _load_bulk,
-                                  _load_lines, dump_graph, load_graph)
+from structhunt.graphcore import (GraphFormatError, LayeredGraph, _digit_records,
+                                  _edge_block, _load_bulk, _load_lines, dump_graph,
+                                  load_graph, parse_vertex_set)
 from structhunt.shadows import shadow
 from util import (brute_force_density, brute_force_e_ordered, complete_bipartite,
                   complete_graph, cycle_graph, graph_from_edges, path_graph,
@@ -582,3 +584,98 @@ class TestDirectedForm:
             assert d.cols.tolist() == [u for v in range(n) for u in sorted(adj[v])]
             assert d.degrees.tolist() == d.degree_list == [len(a) for a in adj]
             assert d.rows.dtype == d.cols.dtype == d.degrees.dtype == np.int64
+
+
+def _record_text(rng, seps, final):
+    """A seeded record text: runs of 1, 9, 10 or 18 digits (leading zeros
+    among them) or of random length, separated by seps, sometimes with one
+    corruption that one of the readers may reject."""
+    lengths = rng.choice([(1,), (9,), (10,), (18,), (1, 9), (1, 10, 18), (1, 2, 3)])
+    runs = ["".join(rng.choice("0123456789") for _ in range(rng.choice(lengths)))
+            for _ in range(len(seps) * rng.randint(0, 5))]
+    text = "".join(r + seps[i % len(seps)] for i, r in enumerate(runs))
+    if not final and text:
+        text = text[:-1]
+    if rng.random() < 0.4 and text:
+        at = rng.randrange(len(text) + 1)
+        bad = rng.choice(["", "+", "-", "_", " ", "\n", ",", "\u0661", "0" * 19, "7"])
+        text = text[:at] + bad + text[at + (bad == ""):]
+    return text
+
+
+class TestDigitRecords:
+    """_digit_records against the one-parse reader of oracle_graphcore."""
+
+    @staticmethod
+    def _agree(text, seps, final=True):
+        got = _digit_records(text, seps, final)
+        want = digit_records_fromstring(text, seps, final)
+        if want is None:
+            assert got is None, (text, seps, final)
+        else:
+            assert got is not None, (text, seps, final)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (text, seps)
+        return got
+
+    @pytest.mark.parametrize("seps", [" \n", "-,", ",", "\n"])
+    @pytest.mark.parametrize("final", [True, False])
+    def test_seeded_texts(self, seps, final):
+        read = 0
+        for seed in range(300):
+            read += self._agree(_record_text(random.Random(seed), seps, final),
+                                seps, final) is not None
+        assert 100 < read < 300  # both readings and rejections are covered
+
+    @pytest.mark.parametrize("text, seps, final, ids", [
+        ("", " \n", True, []),
+        ("", "-,", False, []),
+        ("7\n", "\n", True, [7]),
+        ("000000009 123456789\n", " \n", True, [9, 123456789]),
+        ("1234567890-000000000000000001", "-,", False, [1234567890, 1]),
+        ("999999999999999999,0,", ",", True, [999999999999999999, 0]),
+        ("0 1\n10 100\n", " \n", True, [0, 1, 10, 100])])
+    def test_runs_and_widths(self, text, seps, final, ids):
+        assert self._agree(text, seps, final).ravel().tolist() == ids
+
+    @pytest.mark.parametrize("text, seps, final", [
+        ("0 1", " \n", True), ("0 1\n", " \n", False), ("0\n1\n", " \n", True),
+        ("0  1\n", " \n", True), ("+0 1\n", " \n", True), ("1_0 2\n", " \n", True),
+        ("0 \u0661\n", " \n", True), ("0 1\r\n", " \n", True), ("-1-2", "-,", False),
+        ("1-2,", "-,", False), (",", ",", True), ("1" * 19 + "\n", "\n", True),
+        ("1-" + "0" * 19, "-,", False), ("1 2\n3", " \n", True), ("\n", "\n", True)])
+    def test_rejected_by_both(self, text, seps, final):
+        assert self._agree(text, seps, final) is None
+
+
+class TestEdgeBlock:
+    def test_in_order_block_is_not_sorted_again(self, monkeypatch):
+        monkeypatch.setattr(graphcore, "_has_repeats", None)  # a call would raise
+        assert _edge_block("0 1\n0 2\n1 2\n", 3).tolist() == [1, 2, 5]
+
+    def test_out_of_order_block_comes_back_sorted(self):
+        assert _edge_block("1 2\n2 0\n0 1\n", 3).tolist() == [1, 2, 5]
+
+    def test_out_of_order_repeat_is_named_by_the_line_scan(self):
+        body = "1 2\n0 1\n2 1\n"
+        assert _edge_block(body, 3) is None
+        with pytest.raises(GraphFormatError) as ei:
+            load_graph("n 3\nlayer G\n" + body)
+        assert str(ei.value) == "line 5: duplicate edge 2 1 in layer G"
+
+
+class TestParseVertexSet:
+    def test_ascii_ids(self):
+        assert parse_vertex_set(" 3, 0 1,2 ", 4) == frozenset({0, 1, 2, 3})
+        assert parse_vertex_set("007", 8) == frozenset({7})
+
+    @pytest.mark.parametrize("text, token", [
+        ("1_0,+2, \u0661", "1_0"), ("+2", "+2"), ("\u0661", "\u0661"), ("0,1_0", "1_0"),
+        ("--1", "--1"), ("1-", "1-"), ("x", "x")])
+    def test_typos_are_bad_integers(self, text, token):
+        with pytest.raises(ValueError) as ei:
+            parse_vertex_set(text, 20)
+        assert str(ei.value) == "bad integer %r" % token
+
+    def test_negative_id_is_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^vertex id -1 out of range$"):
+            parse_vertex_set("0,-1", 4)

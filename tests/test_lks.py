@@ -107,6 +107,19 @@ class TestClassifyVertices:
         cls = classify_vertices(g, 1, Fraction(1, 10))
         assert not cls.small_clauses["3. e(G) <= k n"].passed
 
+    @pytest.mark.parametrize("leaves, ok", [(2, True), (3, False)])
+    @pytest.mark.parametrize("centre_first", [True, False])
+    def test_clause_2_reads_both_ends_of_each_edge(self, leaves, ok, centre_first):
+        """A star's leaves are S-vertices at (1 + eta) k = 2, and clause 2
+        holds iff the centre has degree 2, whether the centre is the smaller
+        or the larger end of each edge."""
+        centre = 0 if centre_first else leaves
+        g = graph_from_edges(leaves + 1, [(centre, v) for v in range(leaves + 1) if v != centre])
+        cls = classify_vertices(g, 1, Fraction(1))
+        assert cls.S == g.vertices() - {centre}
+        clause = "2. neighbours of S-vertices have degree exactly ceil((1+eta)k)"
+        assert cls.small_clauses[clause].passed == ok
+
 
 class TestComputeXABC:
     def test_empty_MB_gives_XA_only(self):

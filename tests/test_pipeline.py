@@ -416,3 +416,23 @@ class TestOneEdgeForm:
                 tags.append(out.witness.tag)
             assert built == [], name
         assert {"D1", "D10"} <= set(tags)
+
+    def test_hunt_path_builds_no_sorted_arc_form(self, monkeypatch):
+        """Over every builder's hunt, outcome dump, witness dump, witness
+        parse and verification of the parsed witness, no layer builds its
+        arcs sorted by (source, target): every reader on that path takes
+        the edges in both orientations from the layer's ends."""
+        from make_golden import _hunts
+        from structhunt import graphcore
+        from structhunt.fileio import dump_witness, parse_witness
+
+        built = []
+        real = graphcore._sorted_arcs
+        monkeypatch.setattr(graphcore, "_sorted_arcs", lambda d: built.append(d) or real(d))
+        for name, b, split, seed in _hunts():
+            out = hunt_configuration(b, split, seed=seed)
+            out.dump()
+            if out.witness is not None:
+                w = parse_witness(dump_witness(out.witness, out.config_params), b.g.n)
+                verify_configuration(w, b, split, w.params)
+            assert built == [], name
